@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"nfvchain/internal/model"
@@ -77,6 +78,57 @@ func TestStreamReplayMatchesMaterialized(t *testing.T) {
 			}
 			if resM.Generated != resS.Generated {
 				t.Errorf("generated: streamed %d != materialized %d", resS.Generated, resM.Generated)
+			}
+		})
+	}
+}
+
+// TestTraceReplayGolden pins trace replay of a GenerateTrace sample to
+// fingerprints captured on the materialized replay path, so streamed replay
+// of a workload.Trace stays bit-identical to it. The "grid" case snaps every
+// row to a 10 ms grid, so many rows of different requests share a timestamp
+// and replay order among them rests on the row-order tie-break alone. The
+// "tied" case replays bursts on a 1/64 s grid into one deterministic
+// 64 pps server with a one-packet buffer: every service completion ties a
+// trace row exactly, and whether the row or the completion runs first
+// decides whether the row is dropped.
+func TestTraceReplayGolden(t *testing.T) {
+	p, sched, tr := streamFixture(t)
+	grid := &workload.Trace{Horizon: tr.Horizon}
+	for _, a := range tr.Arrivals {
+		grid.Arrivals = append(grid.Arrivals, workload.Arrival{Time: math.Floor(a.Time*100) / 100, Request: a.Request})
+	}
+	qp, qsched := singleQueueProblem(64, 64, 1)
+	tied := &workload.Trace{Horizon: 20}
+	st := rng.New(5)
+	for k := 0; k < 20*64; k++ {
+		for n := st.IntN(4); n > 0; n-- {
+			tied.Arrivals = append(tied.Arrivals, workload.Arrival{Time: float64(k) / 64, Request: "r"})
+		}
+	}
+	base := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7}
+	queue := Config{Problem: qp, Schedule: qsched, Horizon: 20, Warmup: 2, Seed: 7,
+		BufferSize: 1, ServiceDist: ServiceDeterministic}
+	cases := []struct {
+		name string
+		cfg  Config
+		tr   *workload.Trace
+		want uint64
+	}{
+		{"generated", base, tr, 0x28938ab6f8d34ac8},
+		{"grid", base, grid, 0xcfe0b1bffe5cc2b3},
+		{"tied", queue, tied, 0x119de0c5a732b03c},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Trace = tc.tr
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fingerprintResults(res); got != tc.want {
+				t.Errorf("trace replay fingerprint %#x, want golden %#x", got, tc.want)
 			}
 		})
 	}
