@@ -272,8 +272,6 @@ func scenarios() []scenario {
 		{"Simulator/large-horizon", simulatorLargeHorizon},
 		{"Simulator/large-horizon-reuse", simulatorLargeHorizonReuse},
 		{"Simulator/deep-horizon", simulatorDeepHorizon},
-		{"Simulator/agenda-ab/heap", func(b *testing.B) { simulatorAgendaAB(b, simulate.AgendaHeap) }},
-		{"Simulator/agenda-ab/ladder", func(b *testing.B) { simulatorAgendaAB(b, simulate.AgendaLadder) }},
 		{"Simulator/stream-replay", simulatorStreamReplay},
 		{"Simulator/bursty-classes", simulatorBurstyClasses},
 		{"Simulator/drop-retransmit", simulatorDropRetransmit},
@@ -435,9 +433,11 @@ func simulatorLargeHorizonReuse(b *testing.B) {
 }
 
 // simulatorDeepHorizon stretches the fleet workload to a 300 s horizon —
-// about 4.5M events, ten times the large-horizon run — which pushes
-// AgendaAuto past its expected-event threshold onto the ladder queue. Reuses
-// one Simulator so allocs/op reflects steady-state sweeps.
+// about 4.5M events, ten times the large-horizon run. The pending-event
+// population stays small (queued packets wait in instance rings, not on the
+// agenda), so this measures per-event cost over a long run rather than a
+// large agenda. Reuses one Simulator so allocs/op reflects steady-state
+// sweeps.
 func simulatorDeepHorizon(b *testing.B) {
 	prob, sched := fleetFixture()
 	sim := simulate.NewSimulator()
@@ -453,31 +453,12 @@ func simulatorDeepHorizon(b *testing.B) {
 	})
 }
 
-// simulatorAgendaAB pins the deep-horizon workload to one agenda backend, so
-// the heap and ladder scenarios differ only in the pending-event queue —
-// the direct A/B behind AgendaAuto's threshold.
-func simulatorAgendaAB(b *testing.B, kind simulate.AgendaKind) {
-	prob, sched := fleetFixture()
-	sim := simulate.NewSimulator()
-	warmed(b, func(seed uint64) {
-		if err := sim.Reset(simulate.Config{
-			Problem: prob, Schedule: sched, Horizon: 300, Warmup: 2, Seed: seed,
-			Agenda: kind,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.Run(); err != nil {
-			b.Fatal(err)
-		}
-	})
-}
-
 // simulatorStreamReplay is the large-horizon fleet workload arriving through
 // the streaming trace cursor: per-request Poisson sources superposed by a
 // MergedStream feed Config.TraceStream one row at a time, with the
 // ExpectedArrivals hint standing in for the exact trace length a CSV replay
-// would have learned from its analysis pass. Measures the pull-based arrival
-// path (one staged event per cursor) against the push-everything baseline of
+// would have learned from its analysis pass. Measures the single-cursor
+// trace replay path against the per-request Poisson sources of
 // Simulator/large-horizon-reuse.
 func simulatorStreamReplay(b *testing.B) {
 	prob, sched := fleetFixture()

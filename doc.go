@@ -56,16 +56,18 @@
 // arrivals: Sources maps requests to ArrivalSource generators — Poisson and
 // log-normal renewals, diurnal NHPP, bursty MMPP on/off processes, built
 // individually in internal/workload or as a weighted steady/diurnal/bursty
-// client-class mix by BuildClassSources — and TraceStream replays a merged
-// arrival cursor (NewTraceStream over a CSV, or NewMergedStream superposing
-// per-request sources). The engine stages one arrival event per
-// live cursor and re-pulls after each dispatch, so multi-million-arrival
-// replays run in O(#requests) long-lived memory; ExpectedArrivals pre-sizes
-// the event agenda, and AnalyzeArrivals computes per-flow rate, burstiness
-// and a Poisson KS test from any cursor in one pass. Streamed replay is
-// bit-identical to materializing the same trace, and explicit Poisson
-// sources on the canonical streams are bit-identical to the built-in tier
-// (also for cluster global flows via GlobalRequest sources).
+// client-class mix by BuildClassSources — and TraceStream replays an
+// arrival cursor (NewTraceStream over a CSV, Trace.Cursor over an in-memory
+// Trace, or NewMergedStream superposing per-request sources). TraceStream is
+// the only way recorded arrivals enter a run. The engine stages one arrival
+// event per live cursor and re-pulls after each dispatch, so
+// multi-million-arrival replays run in O(#requests) long-lived memory;
+// ExpectedArrivals pre-sizes the latency-sample buffer, and AnalyzeArrivals
+// computes per-flow rate, burstiness and a Poisson KS test from any cursor
+// in one pass. Replaying a CSV and replaying the Trace it was written from
+// are bit-identical, and explicit Poisson sources on the canonical streams
+// are bit-identical to the built-in tier (also for cluster global flows via
+// GlobalRequest sources).
 //
 // # Solver portfolio and anytime racing
 //

@@ -83,13 +83,13 @@ func run() error {
 		return err
 	}
 	replay1, err := nfvchain.Simulate(sol, nfvchain.SimulationConfig{
-		Horizon: 60, Warmup: 5, Trace: trace, Seed: 99,
+		Horizon: 60, Warmup: 5, TraceStream: trace.Cursor(), Seed: 99,
 	})
 	if err != nil {
 		return err
 	}
 	replay2, err := nfvchain.Simulate(sol, nfvchain.SimulationConfig{
-		Horizon: 60, Warmup: 5, Trace: trace, Seed: 99,
+		Horizon: 60, Warmup: 5, TraceStream: trace.Cursor(), Seed: 99,
 	})
 	if err != nil {
 		return err

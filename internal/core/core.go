@@ -15,7 +15,6 @@ import (
 	"nfvchain/internal/placement"
 	"nfvchain/internal/scheduling"
 	"nfvchain/internal/simulate"
-	"nfvchain/internal/workload"
 )
 
 // Options configures the pipeline. Zero values select the paper's proposed
@@ -103,29 +102,23 @@ type SimulationConfig struct {
 	// DropRetransmit re-injects them from the source after RetransmitDelay.
 	DropPolicy      simulate.DropPolicy
 	RetransmitDelay float64
-	Trace           *workload.Trace
-	// TraceStream replays arrivals from a forward-only cursor (e.g. a
-	// workload.TraceStream over a CSV) in constant memory — bit-identical to
-	// materializing the same trace into Trace. Mutually exclusive with
-	// Trace and Sources.
+	// TraceStream replays recorded arrivals from a forward-only cursor in
+	// constant memory: a workload.TraceStream over a CSV, or an in-memory
+	// workload.Trace through its Cursor. Mutually exclusive with Sources.
 	TraceStream simulate.TraceSource
 	// Sources overrides individual requests' arrival processes with
 	// pull-based generators (e.g. workload.BuildSources client classes);
 	// absent requests keep the flat-Poisson default. Mutually exclusive
-	// with Trace and TraceStream.
+	// with TraceStream.
 	Sources map[model.RequestID]simulate.ArrivalSource
-	// ExpectedArrivals hints the total arrival count for streamed runs
-	// (agenda sizing, sample pre-allocation); 0 falls back to the offered-
-	// rate estimate.
+	// ExpectedArrivals hints the total arrival count (latency-sample
+	// pre-allocation; pass Trace.Len() when replaying an in-memory trace);
+	// 0 falls back to the offered-rate estimate.
 	ExpectedArrivals int
 	// ServiceDist selects the service-time distribution (zero value =
 	// exponential, the paper's assumption).
 	ServiceDist simulate.ServiceDist
-	// Agenda selects the event-queue backend (zero value AgendaAuto picks
-	// by expected event count). Pop order is identical under every kind,
-	// so results are bit-for-bit reproducible regardless of the choice.
-	Agenda simulate.AgendaKind
-	Seed   uint64
+	Seed        uint64
 
 	// FaultPlan injects node failures; nil (the zero value) disables fault
 	// injection and keeps runs bit-identical to historical ones.
@@ -183,12 +176,10 @@ func simConfig(sol *Solution, cfg SimulationConfig) simulate.Config {
 		BufferSize:       cfg.BufferSize,
 		DropPolicy:       cfg.DropPolicy,
 		RetransmitDelay:  cfg.RetransmitDelay,
-		Trace:            cfg.Trace,
 		TraceStream:      cfg.TraceStream,
 		Sources:          cfg.Sources,
 		ExpectedArrivals: cfg.ExpectedArrivals,
 		ServiceDist:      cfg.ServiceDist,
-		Agenda:           cfg.Agenda,
 		Seed:             cfg.Seed,
 		FaultPlan:        cfg.FaultPlan,
 		FailurePolicy:    cfg.FailurePolicy,

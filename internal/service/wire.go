@@ -142,10 +142,7 @@ type SimOptions struct {
 	RetransmitDelay float64 `json:"retransmitDelay,omitempty"`
 	// ServiceDist: exponential|deterministic|lognormal ("" = exponential).
 	ServiceDist string `json:"serviceDist,omitempty"`
-	// Agenda: auto|heap|ladder ("" = auto); results are bit-identical under
-	// every choice.
-	Agenda string `json:"agenda,omitempty"`
-	Seed   uint64 `json:"seed,omitempty"`
+	Seed        uint64 `json:"seed,omitempty"`
 	// FaultPlan optionally injects node failures (requires the solution to
 	// carry a placement).
 	FaultPlan *simulate.FaultPlan `json:"faultPlan,omitempty"`
@@ -178,13 +175,6 @@ func (o SimOptions) simConfig() (core.SimulationConfig, error) {
 		cfg.ServiceDist = simulate.ServiceLogNormal
 	default:
 		return cfg, fmt.Errorf("unknown service distribution %q (want exponential|deterministic|lognormal)", o.ServiceDist)
-	}
-	if o.Agenda != "" {
-		kind, err := simulate.ParseAgendaKind(o.Agenda)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Agenda = kind
 	}
 	switch o.FailurePolicy {
 	case "", "drop":

@@ -1,187 +1,234 @@
 package simulate
 
 import (
-	"strings"
+	"slices"
+	"sort"
 	"testing"
 
 	"nfvchain/internal/rng"
 )
 
-// TestAgendaDifferentialRandom drives the heap- and ladder-backed agendas
-// with identical randomized push/pop workloads — duplicate timestamps,
-// equal-time seq ties, pushes interleaved mid-drain, occasional pushes below
-// already-popped times — and asserts the two pop bit-identical event
-// sequences. The wrappers are reused across trials, so post-reset state
-// (retained rungs, FIFO, heap array) is exercised too.
-func TestAgendaDifferentialRandom(t *testing.T) {
-	st := rng.New(42)
-	var h, l agenda
-	for trial := 0; trial < 60; trial++ {
-		h.reset(AgendaHeap, false)
-		l.reset(AgendaLadder, false)
-		pending := 0
-		last := 0.0
-		for i := 0; i < 3000; i++ {
-			if pending > 0 && st.Float64() < 0.45 {
-				eh, okh := h.pop()
-				el, okl := l.pop()
-				if okh != okl || eh != el {
-					t.Fatalf("trial %d op %d: pop diverged: heap %+v %v, ladder %+v %v",
-						trial, i, eh, okh, el, okl)
-				}
-				pending--
-				last = eh.time
+// refAgenda is the agenda's test oracle: a slice kept sorted by (time, seq)
+// under the same stamping rules — push stamps the next regular sequence
+// number, pushStamped keeps the caller's stamp, startSeqAt reserves the low
+// band, and unpop restores a popped event with its stamp intact.
+type refAgenda struct {
+	seq    uint64
+	events []event
+}
+
+func (r *refAgenda) startSeqAt(base uint64) {
+	if r.seq < base {
+		r.seq = base
+	}
+}
+
+func (r *refAgenda) push(e event) {
+	r.seq++
+	e.seq = r.seq
+	r.insert(e)
+}
+
+func (r *refAgenda) insert(e event) {
+	i := sort.Search(len(r.events), func(i int) bool { return eventBefore(&e, &r.events[i]) })
+	r.events = slices.Insert(r.events, i, e)
+}
+
+func (r *refAgenda) pop() (event, bool) {
+	if len(r.events) == 0 {
+		return event{}, false
+	}
+	e := r.events[0]
+	r.events = r.events[1:]
+	return e, true
+}
+
+// agendaOp is one step of a scripted agenda workload. A rel op's time is an
+// offset from the clock — the time of the last popped event — so offset 0
+// hits the due-now FIFO.
+type agendaOp struct {
+	kind agendaOpKind
+	time float64
+	rel  bool
+}
+
+type agendaOpKind int
+
+const (
+	opPush    agendaOpKind = iota // push at time (FIFO when time equals the clock)
+	opStamped                     // pushStamped at time with the next low-band row stamp
+	opPop                         // pop and compare
+	opUnpop                       // unpop the event just popped (skipped unless the last op popped one)
+)
+
+// stampBase is the low band reserved for opStamped rows in the differential
+// runs, standing in for streamSeqBase.
+const stampBase = 1 << 20
+
+// runAgendaOps drives a (reused) agenda and a fresh reference through ops,
+// then drains both, failing on the first diverging pop, size or emptiness.
+// When stamped is set, both reserve the low sequence band first, as a trace
+// replay does at seeding.
+func runAgendaOps(t *testing.T, name string, a *agenda, ops []agendaOp, stamped bool) {
+	t.Helper()
+	a.reset()
+	var ref refAgenda
+	if stamped {
+		a.startSeqAt(stampBase)
+		ref.startSeqAt(stampBase)
+	}
+	var row uint64
+	var last event
+	clock := 0.0
+	popped := false
+	check := func(i int) {
+		t.Helper()
+		if a.size() != len(ref.events) || a.empty() != (len(ref.events) == 0) {
+			t.Fatalf("%s op %d: size %d empty %v, reference holds %d",
+				name, i, a.size(), a.empty(), len(ref.events))
+		}
+	}
+	for i, op := range ops {
+		wasPop := popped
+		popped = false
+		tm := op.time
+		if op.rel {
+			tm += clock
+		}
+		switch op.kind {
+		case opPush:
+			e := event{time: tm, kind: evArrival, pkt: int32(i)}
+			a.push(e)
+			ref.push(e)
+		case opStamped:
+			row++
+			e := event{time: tm, seq: row, kind: evStream, reqIndex: int32(i)}
+			a.pushStamped(e)
+			ref.insert(e)
+		case opPop:
+			got, ok := a.pop()
+			want, wok := ref.pop()
+			if ok != wok || got != want {
+				t.Fatalf("%s op %d: pop = %+v %v, reference %+v %v", name, i, got, ok, want, wok)
+			}
+			popped, last = ok, got
+			if ok {
+				clock = got.time
+			}
+		case opUnpop:
+			if !wasPop {
 				continue
 			}
-			var tm float64
+			a.unpop(last)
+			ref.insert(last)
+		}
+		check(i)
+	}
+	for n := 0; ; n++ {
+		got, ok := a.pop()
+		want, wok := ref.pop()
+		if ok != wok || got != want {
+			t.Fatalf("%s drain %d: pop = %+v %v, reference %+v %v", name, n, got, ok, want, wok)
+		}
+		if !ok {
+			return
+		}
+	}
+}
+
+// TestAgendaDifferentialRandom drives the heap-backed agenda and the
+// sorted-slice reference with identical randomized workloads — duplicate
+// timestamps that feed the due-now FIFO, equal-time seq ties, pushes
+// interleaved mid-drain (filling the lazy root hole), pushes below
+// already-popped times, unpops of the event just popped, and low-band
+// stamped pushes — and asserts the two pop bit-identical event sequences.
+// The agenda is reused across trials, so post-reset state (FIFO, heap
+// array) is exercised too. Scripted edge cases ride along as extra inputs.
+func TestAgendaDifferentialRandom(t *testing.T) {
+	var a agenda
+	// An unpop that ties the two remaining events at the same time must
+	// come back first: its seq predates theirs.
+	runAgendaOps(t, "unpop-tie", &a, []agendaOp{
+		{opPush, 5, false}, {opPush, 5, false}, {opPush, 5, false},
+		{opPop, 0, false}, {opUnpop, 0, false}, {opPop, 0, false},
+	}, false)
+	// A stamped row tying the FIFO's time wins on its low seq.
+	runAgendaOps(t, "stamped-tie", &a, []agendaOp{
+		{opPush, 2, false}, {opPop, 0, false}, {opPush, 2, false}, {opPush, 2, false},
+		{opStamped, 2, false}, {opPop, 0, false}, {opPop, 0, false},
+	}, true)
+
+	st := rng.New(42)
+	for trial := 0; trial < 60; trial++ {
+		stamped := trial%2 == 1
+		ops := make([]agendaOp, 0, 3000)
+		pending := 0
+		for i := 0; i < 3000; i++ {
+			if pending > 0 && st.Float64() < 0.45 {
+				ops = append(ops, agendaOp{kind: opPop})
+				pending--
+				if st.Float64() < 0.1 {
+					ops = append(ops, agendaOp{kind: opUnpop})
+					pending++
+				}
+				continue
+			}
+			op := agendaOp{kind: opPush}
+			if stamped && st.Float64() < 0.2 {
+				op.kind = opStamped
+			}
 			switch st.IntN(5) {
 			case 0:
-				tm = last // exact duplicate of the current time (seq tie-break)
+				op.rel = true // the clock: the due-now FIFO path
 			case 1:
-				tm = float64(st.IntN(8)) // coarse grid: heavy cross-push ties
+				op.time = float64(st.IntN(8)) // coarse grid: heavy cross-push ties
 			case 2:
-				tm = st.Float64() * 10 // continuous, possibly below 'last'
+				op.time = st.Float64() * 10 // continuous, possibly below the clock
 			case 3:
-				tm = last + st.Float64() // near future
+				op.time, op.rel = st.Float64(), true // near future
 			case 4:
-				tm = 5 + st.Float64()*0.001 // dense cluster: crowded buckets
+				op.time = 5 + st.Float64()*0.001 // dense cluster
 			}
-			e := event{time: tm, kind: evArrival, pkt: int32(i), inst: int32(trial)}
-			h.push(e)
-			l.push(e)
+			ops = append(ops, op)
 			pending++
 		}
-		for {
-			eh, okh := h.pop()
-			el, okl := l.pop()
-			if okh != okl || eh != el {
-				t.Fatalf("trial %d drain: pop diverged: heap %+v %v, ladder %+v %v",
-					trial, eh, okh, el, okl)
-			}
-			if !okh {
-				break
-			}
-		}
+		runAgendaOps(t, "random", &a, ops, stamped)
 	}
 }
 
-// TestAgendaDifferentialBulk skips the wrapper's due-now FIFO and compares
-// the raw backends under bulk loads that force the ladder through every
-// structural path: a top spawn over thousands of events, crowded buckets
-// that spawn deeper rungs, an equal-timestamp mass that cannot be
-// subdivided, and bottom-insert storms below every rung.
+// TestAgendaDifferentialBulk checks the agenda against the reference under
+// populations far above the simulator's usual few hundred pending events —
+// a broad uniform spread, a dense cluster, and a zero-spread mass of equal
+// timestamps — drained with pushes interleaved, some at the just-popped
+// time (the FIFO) and some far ahead.
 func TestAgendaDifferentialBulk(t *testing.T) {
 	st := rng.New(7)
-	var h heapAgenda
-	var l ladderAgenda
+	var a agenda
 	for trial := 0; trial < 4; trial++ {
-		h.reset()
-		l.reset()
-		seq := uint64(0)
-		push := func(tm float64) {
-			seq++
-			e := event{time: tm, seq: seq, kind: evService}
-			h.push(e)
-			l.push(e)
-		}
+		var ops []agendaOp
 		for i := 0; i < 8000; i++ {
+			var tm float64
 			switch st.IntN(10) {
 			case 0, 1, 2:
-				push(st.Float64() * 1000) // broad uniform spread
+				tm = st.Float64() * 1000 // broad uniform spread
 			case 3, 4, 5, 6:
-				push(500 + st.Float64()*0.01) // dense cluster → deep rungs
+				tm = 500 + st.Float64()*0.01 // dense cluster
 			default:
-				push(7.25) // zero-spread mass → wholesale sort path
+				tm = 7.25 // zero-spread mass
 			}
+			ops = append(ops, agendaOp{kind: opPush, time: tm})
 		}
-		drained := 0
-		for {
-			hp, lp := h.peek(), l.peek()
-			if (hp == nil) != (lp == nil) {
-				t.Fatalf("trial %d: emptiness diverged at pop %d", trial, drained)
-			}
-			if hp == nil {
-				break
-			}
-			eh, el := h.pop(), l.pop()
-			if eh != el {
-				t.Fatalf("trial %d pop %d: heap %+v, ladder %+v", trial, drained, eh, el)
-			}
-			drained++
-			// Interleave pushes mid-drain, some undercutting every rung.
+		// Drain 12000 events — more than the 8000 pushed — with pushes
+		// interleaved relative to the clock; the runner drains the rest.
+		for drained := 1; drained <= 12000; drained++ {
+			ops = append(ops, agendaOp{kind: opPop})
 			if drained%3 == 0 {
-				push(eh.time + st.Float64()*100)
+				ops = append(ops, agendaOp{kind: opPush, time: st.Float64() * 100, rel: true})
 			}
 			if drained%7 == 0 {
-				push(eh.time) // equal to the just-popped time
-			}
-			if drained > 20000 {
-				break // bounded: interleaved pushes would drain forever
+				ops = append(ops, agendaOp{kind: opPush, rel: true})
 			}
 		}
-	}
-}
-
-// TestAgendaGoldenInvariance asserts AgendaHeap and AgendaLadder produce
-// byte-identical Results on the seed-determinism configs — both must match
-// the pinned golden fingerprints, proving the agenda kind is invisible to
-// every measurement.
-func TestAgendaGoldenInvariance(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		want uint64
-	}{
-		{"plain", Config{Horizon: 20, Warmup: 2, Seed: 7}, 0x4af579b7b3270177},
-		{"buffered", Config{Horizon: 20, Warmup: 2, Seed: 7, BufferSize: 2}, 0x7c13b08e2cdb0988},
-		{"lognormal", Config{Horizon: 15, Warmup: 1, Seed: 3, ServiceDist: ServiceLogNormal}, 0xb81fe93896fa901a},
-	}
-	for _, kind := range []AgendaKind{AgendaHeap, AgendaLadder} {
-		for _, tc := range cases {
-			t.Run(kind.String()+"/"+tc.name, func(t *testing.T) {
-				cfg := tc.cfg
-				cfg.Agenda = kind
-				res := defaultWorkloadRun(t, cfg)
-				if res.Agenda != kind {
-					t.Errorf("Results.Agenda = %v, want %v", res.Agenda, kind)
-				}
-				if got := fingerprintResults(res); got != tc.want {
-					t.Errorf("%v fingerprint = %#x, want golden %#x", kind, got, tc.want)
-				}
-			})
-		}
-	}
-}
-
-// TestParseAgendaKind covers the flag-value round trip and the error text
-// listing the valid spellings.
-func TestParseAgendaKind(t *testing.T) {
-	for _, k := range []AgendaKind{AgendaAuto, AgendaHeap, AgendaLadder} {
-		got, err := ParseAgendaKind(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseAgendaKind(%q) = %v, %v; want %v", k.String(), got, err, k)
-		}
-	}
-	if _, err := ParseAgendaKind("bogus"); err == nil {
-		t.Fatal("ParseAgendaKind(bogus) succeeded")
-	} else if msg := err.Error(); !strings.Contains(msg, "auto|heap|ladder") {
-		t.Errorf("error %q does not list valid values", msg)
-	}
-}
-
-// TestAgendaAutoResolution pins the auto heuristic: small runs stay on the
-// heap, runs past the expected-event threshold move to the ladder, and an
-// explicit kind always wins.
-func TestAgendaAutoResolution(t *testing.T) {
-	small := Config{Horizon: 20, Warmup: 2, Seed: 7}
-	if res := defaultWorkloadRun(t, small); res.Agenda != AgendaHeap {
-		t.Errorf("small auto run resolved to %v, want heap", res.Agenda)
-	}
-	forced := Config{Horizon: 20, Warmup: 2, Seed: 7, Agenda: AgendaLadder}
-	if res := defaultWorkloadRun(t, forced); res.Agenda != AgendaLadder {
-		t.Errorf("forced ladder run resolved to %v", res.Agenda)
-	}
-	if _, err := Run(Config{Horizon: 1, Agenda: AgendaKind(99)}); err == nil {
-		t.Error("invalid agenda kind accepted")
+		runAgendaOps(t, "bulk", &a, ops, false)
 	}
 }

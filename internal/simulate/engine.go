@@ -16,20 +16,16 @@
 // — which is how internal/repair implements self-healing.
 //
 // The event loop is allocation-free in steady state and built for raw CPU
-// speed: the agenda (see AgendaKind) is either a value-typed implicit 4-ary
-// min-heap of 32-byte events or an O(1)-amortized ladder queue, fronted by a
-// due-now FIFO that lets the dominant zero-delay stage transitions bypass
-// the priority queue entirely; packets live in a flat arena indexed by int32
-// and are recycled through a free list, each instance's waiting room is a
-// ring buffer of packet indices, and the latency-sample slice is pre-sized
-// from the offered load.  A Simulator can additionally be Reset and re-Run
+// speed: the agenda is a value-typed implicit 4-ary min-heap of 32-byte
+// events, fronted by a due-now FIFO that lets the dominant zero-delay stage
+// transitions bypass the heap entirely; packets live in a flat arena indexed
+// by int32 and are recycled through a free list, each instance's waiting
+// room is a ring buffer of packet indices, and the latency-sample slice is
+// pre-sized from the offered load.  A Simulator can additionally be Reset and re-Run
 // so sweeps reuse every backing array across trials.
 package simulate
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // eventKind discriminates scheduler events.
 type eventKind int32
@@ -64,136 +60,62 @@ type event struct {
 	inst     int32 // evArrival, evService payload (instance table index)
 }
 
-// eventBefore is the agenda's total order. seq is unique per push, so every
-// correct priority-queue representation pops the exact same event sequence —
-// which is why AgendaHeap and AgendaLadder are interchangeable bit-for-bit
-// (the seed-determinism goldens pin that).
+// eventBefore is the agenda's total order. seq is unique per push, so the
+// pop sequence is fully determined by the pushed (time, seq) stamps — never
+// by how the heap happens to arrange them.
 func eventBefore(a, b *event) bool {
 	return a.time < b.time || (a.time == b.time && a.seq < b.seq)
 }
 
-// AgendaKind selects the pending-event priority queue backing the simulator.
-// All kinds pop events in the identical (time, seq) total order, so results
-// are bit-identical across kinds; the choice is purely about speed.
-type AgendaKind int
-
-// Supported agenda kinds.
-const (
-	// AgendaAuto (the zero value) picks the backend from the expected event
-	// count: the 4-ary heap for small runs, the ladder queue once the run is
-	// large enough for O(1)-amortized operations to beat the heap's cache-hot
-	// sift (see agendaAutoThreshold).
-	AgendaAuto AgendaKind = iota
-	// AgendaHeap is the value-typed implicit 4-ary min-heap — the reference
-	// implementation: ~O(log n) per operation but with a short, cache-friendly
-	// sift that wins on small pending-event populations.
-	AgendaHeap
-	// AgendaLadder is the ladder queue (calendar-queue family): a lazily
-	// bucketed multi-rung structure with an unsorted top and a small sorted
-	// bottom, O(1) amortized insert and pop regardless of population.
-	AgendaLadder
-)
-
-// agendaAutoThreshold is the expected-event count above which AgendaAuto
-// selects the ladder queue up front. The threshold is deliberately high:
-// with the lazy-hole optimization the heap's sift is so cheap that the
-// ladder only reaches parity around ~10k simultaneously pending events
-// (measured on the wide-fleet workload), and expected TOTAL events overstate
-// the pending population by orders of magnitude on steady-state queueing
-// runs. The ladder's O(1)-amortized bound is insurance for extreme backlogs
-// — and because the static estimate cannot see the actual backlog, an
-// AgendaAuto agenda ALSO watches the live pending population and migrates
-// heap→ladder at runtime when it crosses agendaAdaptivePending.
-const agendaAutoThreshold = 1 << 24
-
-// agendaAdaptivePending is the observed pending-event population at which an
-// adaptive (AgendaAuto) agenda migrates from the heap to the ladder mid-run.
-// It sits above the measured ~10k crossover so the migration only fires when
-// the ladder is clearly ahead; migration preserves every event's (time, seq)
-// stamp, so the pop order — and therefore every Result — is bit-identical to
-// a run that never switched.
-const agendaAdaptivePending = 1 << 14
-
-// String returns the flag spelling of the kind.
-func (k AgendaKind) String() string {
-	switch k {
-	case AgendaAuto:
-		return "auto"
-	case AgendaHeap:
-		return "heap"
-	case AgendaLadder:
-		return "ladder"
-	default:
-		return fmt.Sprintf("AgendaKind(%d)", int(k))
-	}
-}
-
-// ParseAgendaKind parses an -agenda flag value.
-func ParseAgendaKind(s string) (AgendaKind, error) {
-	switch s {
-	case "auto":
-		return AgendaAuto, nil
-	case "heap":
-		return AgendaHeap, nil
-	case "ladder":
-		return AgendaLadder, nil
-	default:
-		return 0, fmt.Errorf("simulate: unknown agenda kind %q (want auto|heap|ladder)", s)
-	}
-}
-
 // agenda is the simulator's pending-event queue: a seq-stamping wrapper over
-// one of the priority-queue backends, fronted by a due-now FIFO.
+// the 4-ary heap, fronted by a due-now FIFO.
+//
+// Queued packets wait in per-instance rings, not on the agenda, so it holds
+// only O(arrival sources + busy instances + packets on links) events — a few
+// hundred on the default workload. At that size the heap's short,
+// cache-friendly sift is the fastest structure measured (EXPERIMENTS.md).
 //
 // The FIFO exploits the dominant event pattern of the DES: a finished packet
 // advancing to a co-located stage is pushed with time exactly equal to the
 // current simulated time. Such an event can only be preceded by other events
 // with the same time and a smaller sequence number, so appending it to a
-// FIFO and comparing the FIFO head against the backend minimum on pop
-// preserves the exact (time, seq) pop order while skipping the backend
+// FIFO and comparing the FIFO head against the heap minimum on pop
+// preserves the exact (time, seq) pop order while skipping the heap
 // entirely — an O(1) append and an O(1) pop for roughly half of all events.
 //
 // Invariants: every event in now[nhead:] has time == nowTime and the
 // segment is in ascending seq order (appends carry the globally increasing
 // seq). nowTime is the time of the last event popped while the FIFO was
 // empty; it is poisoned to NaN — matching no push — in the one ordering
-// where a backend event with a different time overtakes a non-empty FIFO,
+// where a heap event with a different time overtakes a non-empty FIFO,
 // which never happens in the simulator (events are never scheduled in the
 // past) but keeps the wrapper correct as a general priority queue. backMin
-// and backSeq mirror the backend head's key exactly (+Inf/0 when empty):
+// and backSeq mirror the heap head's key exactly (+Inf/0 when empty):
 // pushes can only lower backMin (a pushed event always carries the largest
-// seq, so it never wins a time tie against the resident head) and backend
+// seq, so it never wins a time tie against the resident head) and heap
 // pops refresh both — which is what lets the dominant FIFO pop decide the
-// race against the backend with two scalar compares and no backend call.
+// race against the heap with two scalar compares and no heap call.
 type agenda struct {
-	seq      uint64
-	n        int        // live event count across FIFO + backend (see size)
-	kind     AgendaKind // resolved backend: AgendaHeap or AgendaLadder
-	adaptive bool       // AgendaAuto run: may migrate heap→ladder at runtime
-	now      []event    // due-now FIFO
-	nhead    int
-	nowTime  float64
-	backMin  float64 // backend head time, +Inf when the backend is empty
-	backSeq  uint64  // backend head seq
-	heap     heapAgenda
-	ladder   ladderAgenda
+	seq     uint64
+	n       int     // live event count across FIFO + heap (see size)
+	now     []event // due-now FIFO
+	nhead   int
+	nowTime float64
+	backMin float64 // heap head time, +Inf when the heap is empty
+	backSeq uint64  // heap head seq
+	heap    heapAgenda
 }
 
-// reset empties the agenda for kind, retaining every backing array. adaptive
-// marks an AgendaAuto run, allowing a runtime heap→ladder migration once the
-// pending population crosses agendaAdaptivePending.
-func (a *agenda) reset(kind AgendaKind, adaptive bool) {
+// reset empties the agenda, retaining every backing array.
+func (a *agenda) reset() {
 	a.seq = 0
 	a.n = 0
-	a.kind = kind
-	a.adaptive = adaptive && kind == AgendaHeap
 	a.now = a.now[:0]
 	a.nhead = 0
 	a.nowTime = math.NaN()
 	a.backMin = math.Inf(1)
 	a.backSeq = 0
 	a.heap.reset()
-	a.ladder.reset()
 }
 
 // push stamps e with the next sequence number and enqueues it.
@@ -208,24 +130,15 @@ func (a *agenda) push(e event) {
 	if e.time < a.backMin {
 		a.backMin, a.backSeq = e.time, e.seq
 	}
-	if a.kind == AgendaLadder {
-		a.ladder.push(e)
-		return
-	}
 	a.heap.push(e)
-	if a.adaptive && len(a.heap.events) >= agendaAdaptivePending {
-		a.migrateToLadder()
-	}
 }
 
 // pushStamped enqueues an event that already carries its (time, seq) stamp —
-// the streamed-trace replay path. A materialized trace replay pushes every
-// arrival at seed time, so trace arrivals hold the lowest sequence numbers
-// and win every time tie against in-run events; streamed replay reproduces
-// that exact pop order by stamping each trace row with its row index from a
-// band below the regular counter (see streamSeqBase). The event bypasses the
+// the trace replay path, which stamps each admitted row with its row index
+// from a band below the regular counter (see streamSeqBase) so trace
+// arrivals win every time tie against in-run events. The event bypasses the
 // due-now FIFO — its low seq would violate the FIFO's ascending-seq
-// invariant — and goes straight to the backend, whose pop tie-break against
+// invariant — and goes straight to the heap, whose pop tie-break against
 // the FIFO is exact. Unlike push, the cached head key update must be
 // tie-aware: a stamped event can win a time tie against the resident head.
 func (a *agenda) pushStamped(e event) {
@@ -233,14 +146,7 @@ func (a *agenda) pushStamped(e event) {
 	if e.time < a.backMin || (e.time == a.backMin && e.seq < a.backSeq) {
 		a.backMin, a.backSeq = e.time, e.seq
 	}
-	if a.kind == AgendaLadder {
-		a.ladder.push(e)
-		return
-	}
 	a.heap.push(e)
-	if a.adaptive && len(a.heap.events) >= agendaAdaptivePending {
-		a.migrateToLadder()
-	}
 }
 
 // startSeqAt raises the regular sequence counter so that all subsequently
@@ -253,43 +159,24 @@ func (a *agenda) startSeqAt(base uint64) {
 	}
 }
 
-// size returns the number of pending events (FIFO + backend). On a streamed
-// run this stays O(live packets + arrival sources) regardless of how many
-// trace rows the cursor will eventually deliver — the observable behind the
+// size returns the number of pending events (FIFO + heap). On a trace
+// replay this stays O(live packets + arrival sources) regardless of how many
+// rows the cursor will eventually deliver — the observable behind the
 // constant-memory replay guarantee.
 func (a *agenda) size() int {
 	return a.n
 }
 
-// migrateToLadder moves every pending heap event into the ladder and flips
-// the backend — the adaptive AgendaAuto escape hatch for runs whose actual
-// backlog dwarfs the static estimate. Seq stamps are preserved, so the pop
-// sequence (the only observable) is identical to never having switched; the
-// cached head key stays valid because the event set is unchanged.
-func (a *agenda) migrateToLadder() {
-	a.heap.fill() // discard any holed (already-popped) root first
-	for _, e := range a.heap.events {
-		a.ladder.push(e)
-	}
-	a.heap.reset()
-	a.kind = AgendaLadder
-	a.adaptive = false
-}
-
 // unpop returns e — the most recently popped event, still the global
-// minimum — to the backend with its original (time, seq) stamp intact. The
+// minimum — to the heap with its original (time, seq) stamp intact. The
 // cluster scheduler uses this to reinsert a peeked event when a cross-
-// datacenter injection must run first. e re-enters the backend rather than
+// datacenter injection must run first. e re-enters the heap rather than
 // the FIFO (its seq predates the FIFO's remaining entries, which the pop
 // tie-break resolves through the exact-peek path), and the cached head key
 // is simply e's own: e precedes everything else pending.
 func (a *agenda) unpop(e event) {
 	a.n++
-	if a.kind == AgendaLadder {
-		a.ladder.unpop(e)
-	} else {
-		a.heap.push(e)
-	}
+	a.heap.push(e)
 	a.backMin, a.backSeq = e.time, e.seq
 }
 
@@ -303,81 +190,39 @@ func (a *agenda) unpop(e event) {
 // replace differs from a pop-then-push arrangement, but (time, seq) is a
 // total order, so the pop sequence — the only observable — is identical.
 //
-// While the root is holed the new backend minimum is unknown, so backMin
+// While the root is holed the new heap minimum is unknown, so backMin
 // demotes from exact to a lower bound (the popped key). The FIFO fast path
 // stays sound — a FIFO head strictly below a lower bound is certainly below
 // the real head — and the rare tie falls through to an exact peek, which
 // fills the hole and re-tightens the bound.
 func (a *agenda) pop() (event, bool) {
+	h := &a.heap
 	if a.nhead < len(a.now) {
 		f := &a.now[a.nhead]
 		if f.time < a.backMin || (f.time == a.backMin && f.seq < a.backSeq) {
-			e := *f
-			a.nhead++
-			if a.nhead == len(a.now) {
-				a.now = a.now[:0]
-				a.nhead = 0
-			}
-			a.n--
-			return e, true
+			return a.popFIFO(), true
 		}
-		// The bound says the backend head may precede the FIFO's: resolve
+		// The bound says the heap head may precede the FIFO's: resolve
 		// exactly. peek fills any hole, making the head (and bound) exact.
-		var b *event
-		if a.kind == AgendaLadder {
-			b = a.ladder.peek()
-		} else {
-			b = a.heap.peek()
-		}
+		b := h.peek()
 		if b == nil || eventBefore(f, b) {
 			if b != nil {
 				a.backMin, a.backSeq = b.time, b.seq
 			} else {
 				a.backMin, a.backSeq = math.Inf(1), 0
 			}
-			e := *f
-			a.nhead++
-			if a.nhead == len(a.now) {
-				a.now = a.now[:0]
-				a.nhead = 0
-			}
-			a.n--
-			return e, true
+			return a.popFIFO(), true
 		}
-		// Backend first: pop it. If its time differs from the FIFO's,
-		// poison nowTime so later pushes cannot break the FIFO's time
-		// homogeneity.
-		e, _ := a.popBackend()
+		// Heap first: pop it. If its time differs from the FIFO's, poison
+		// nowTime so later pushes cannot break the FIFO's time homogeneity.
+		e := h.pop()
+		a.backMin, a.backSeq = h.head()
 		if e.time != a.nowTime {
 			a.nowTime = math.NaN()
 		}
 		a.n--
 		return e, true
 	}
-	if a.kind == AgendaLadder {
-		l := &a.ladder
-		// Bottom-run fast path: while at least two sorted events remain,
-		// pop (a truncation off the descending array's end) and read the
-		// next head without the popOK/head call pair (each of which
-		// re-walks ensureBottom).
-		if n := len(l.bottom); n >= 2 {
-			e := l.bottom[n-1]
-			l.bottom = l.bottom[:n-1]
-			nxt := &l.bottom[n-2]
-			a.backMin, a.backSeq = nxt.time, nxt.seq
-			a.nowTime = e.time
-			a.n--
-			return e, true
-		}
-		e, ok := l.popOK()
-		if ok {
-			a.backMin, a.backSeq = l.head()
-			a.nowTime = e.time
-			a.n--
-		}
-		return e, ok
-	}
-	h := &a.heap
 	if h.holed {
 		h.fill()
 	}
@@ -392,24 +237,22 @@ func (a *agenda) pop() (event, bool) {
 	return top, true
 }
 
-// popBackend removes the backend minimum and refreshes the cached head key.
-func (a *agenda) popBackend() (event, bool) {
-	if a.kind == AgendaLadder {
-		e, ok := a.ladder.popOK()
-		a.backMin, a.backSeq = a.ladder.head()
-		return e, ok
+// popFIFO removes and returns the due-now FIFO's head; the caller checks
+// that it is non-empty and precedes the heap head.
+func (a *agenda) popFIFO() event {
+	e := a.now[a.nhead]
+	a.nhead++
+	if a.nhead == len(a.now) {
+		a.now = a.now[:0]
+		a.nhead = 0
 	}
-	e, ok := a.heap.popOK()
-	a.backMin, a.backSeq = a.heap.head()
-	return e, ok
+	a.n--
+	return e
 }
 
 func (a *agenda) empty() bool {
 	if a.nhead < len(a.now) {
 		return false
-	}
-	if a.kind == AgendaLadder {
-		return a.ladder.peek() == nil
 	}
 	n := len(a.heap.events)
 	if a.heap.holed {
@@ -438,7 +281,7 @@ func (a *agenda) fifoEmpty() bool {
 // returned events[0] to the caller) but the slot still holds the stale
 // value. The next push fills the hole by sifting the new event down from
 // the root — one sift-down instead of a sift-down plus a sift-up — and
-// every other entry point (peek, pop, popOK, head) calls fill first.
+// every other entry point (peek, head) calls fill first.
 type heapAgenda struct {
 	events []event
 	holed  bool
@@ -473,15 +316,6 @@ func (h *heapAgenda) peek() *event {
 		return nil
 	}
 	return &h.events[0]
-}
-
-// popOK removes and returns the minimum event; ok is false when empty.
-func (h *heapAgenda) popOK() (event, bool) {
-	h.fill()
-	if len(h.events) == 0 {
-		return event{}, false
-	}
-	return h.pop(), true
 }
 
 // head returns the minimum event's (time, seq) key, (+Inf, 0) when empty.

@@ -18,7 +18,6 @@ import (
 type resultsJSON struct {
 	Horizon float64 `json:"horizon"`
 	Warmup  float64 `json:"warmup"`
-	Agenda  string  `json:"agenda"`
 
 	Generated      int           `json:"generated"`
 	Delivered      int           `json:"delivered"`
@@ -122,7 +121,6 @@ func (r *Results) WriteJSON(w io.Writer) error {
 	raw := resultsJSON{
 		Horizon:                r.Horizon,
 		Warmup:                 r.Warmup,
-		Agenda:                 r.Agenda.String(),
 		Generated:              r.Generated,
 		Delivered:              r.Delivered,
 		Latency:                r.Latency,
@@ -171,14 +169,9 @@ func ReadResultsJSON(r io.Reader) (*Results, error) {
 	if err := dec.Decode(&raw); err != nil {
 		return nil, fmt.Errorf("simulate: decode results: %w", err)
 	}
-	agenda, err := ParseAgendaKind(raw.Agenda)
-	if err != nil {
-		return nil, fmt.Errorf("simulate: decode results: %w", err)
-	}
 	out := &Results{
 		Horizon:                raw.Horizon,
 		Warmup:                 raw.Warmup,
-		Agenda:                 agenda,
 		Generated:              raw.Generated,
 		Delivered:              raw.Delivered,
 		Latency:                raw.Latency,

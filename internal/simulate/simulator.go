@@ -10,7 +10,6 @@ import (
 	"nfvchain/internal/model"
 	"nfvchain/internal/rng"
 	"nfvchain/internal/stats"
-	"nfvchain/internal/workload"
 )
 
 // InstanceKey identifies one service instance of a VNF.
@@ -34,12 +33,13 @@ type ArrivalSource interface {
 	Next(after float64) (t float64, ok bool)
 }
 
-// TraceSource is a forward-only cursor over a time-ordered arrival trace —
-// the streaming counterpart of a materialized Config.Trace. NextArrival
+// TraceSource is a forward-only cursor over a time-ordered arrival trace:
+// the one way recorded arrivals enter a run (Config.TraceStream). NextArrival
 // returns consecutive (time, request) rows in non-decreasing time order;
 // ok=false ends the trace, after which Err reports whether it ended cleanly
-// or on a malformed row. workload.TraceStream (a CSV cursor) and
-// workload.MergedStream (a live generator superposition) both satisfy it.
+// or on a malformed row. workload.TraceStream (a CSV cursor),
+// workload.TraceCursor (an in-memory workload.Trace, see Trace.Cursor) and
+// workload.MergedStream (a live generator superposition) all satisfy it.
 type TraceSource interface {
 	NextArrival() (t float64, id model.RequestID, ok bool)
 	Err() error
@@ -78,21 +78,14 @@ type Config struct {
 	// event loop. Ignored under DropDiscard.
 	RetransmitDelay float64
 
-	// Trace optionally replays recorded external arrivals instead of
-	// generating Poisson arrivals online. Every arrival is materialized into
-	// the agenda at seeding time — O(total arrivals) memory; prefer
-	// TraceStream for large traces. Mutually exclusive with TraceStream and
-	// Sources.
-	Trace *workload.Trace
-
-	// TraceStream replays external arrivals from a forward-only cursor
-	// instead of a materialized Trace: exactly one trace arrival is pending
-	// at any moment, so a 10M-row trace runs in constant memory. Replay is
-	// bit-identical to handing the same (time-ordered) trace to Trace. Rows
-	// naming unknown or inject-only requests are skipped; rows at or past
-	// the horizon end the replay. A cursor error (malformed or out-of-order
-	// row) stops the stream and fails the run at Run/Finalize. Mutually
-	// exclusive with Trace and Sources.
+	// TraceStream optionally replays recorded external arrivals from a
+	// forward-only cursor instead of generating Poisson arrivals online:
+	// exactly one trace arrival is pending at any moment, so a 10M-row
+	// trace runs in constant memory. An in-memory workload.Trace replays
+	// through its Cursor. Rows naming unknown or inject-only requests are
+	// skipped; rows at or past the horizon end the replay. A cursor error
+	// (malformed or out-of-order row) stops the stream and fails the run at
+	// Run/Finalize. Mutually exclusive with Sources.
 	TraceStream TraceSource
 
 	// Sources overrides the arrival process of individual requests: a
@@ -101,21 +94,21 @@ type Config struct {
 	// absent from the map (or mapped to nil) keep the Poisson default, so a
 	// nil or empty map is bit-identical to historical runs. IDs not
 	// scheduled in this simulation are ignored, mirroring trace replay.
-	// Mutually exclusive with Trace and TraceStream.
+	// Mutually exclusive with TraceStream.
 	Sources map[model.RequestID]ArrivalSource
 
 	// ExpectedArrivals hints the total number of external arrivals the run
-	// will admit, sizing the AgendaAuto backend choice and the
-	// latency-sample reservation when the exact count is unknowable up
-	// front (TraceStream replay, custom Sources). 0 falls back to the
-	// offered-rate estimate Σ Rate·Horizon from the problem, which is exact
-	// in expectation for the flat-Poisson default and mean-preserving
-	// generator classes. Ignored when Trace is set (the count is exact).
+	// will admit, sizing the latency-sample reservation when the count is
+	// unknowable up front (TraceStream replay, custom Sources); pass
+	// Trace.Len() when replaying an in-memory trace. 0 falls back to the
+	// offered-rate estimate Σ Rate·(Horizon−Warmup) from the problem, which
+	// is exact in expectation for the flat-Poisson default and
+	// mean-preserving generator classes.
 	ExpectedArrivals int
 
 	// InjectOnly lists requests whose external arrivals are supplied by the
 	// caller through Simulator.Inject instead of being generated from Rate
-	// (or read from Trace). The requests still participate in scheduling and
+	// (or replayed from TraceStream). The requests still participate in scheduling and
 	// admission exactly like any other — only their arrival source changes.
 	// This is how a ClusterSimulator drives cross-datacenter traffic: every
 	// datacenter provisions for the global requests it might serve, and the
@@ -161,65 +154,7 @@ type Config struct {
 	// be trusted when the M/M/1 assumption is violated.
 	ServiceDist ServiceDist
 
-	// Agenda selects the pending-event queue implementation (see AgendaKind).
-	// Every kind pops events in the identical (time, seq) order, so Results
-	// are bit-identical across kinds — this is purely a performance knob.
-	// The zero value AgendaAuto picks by expected event count.
-	Agenda AgendaKind
-
 	Seed uint64
-}
-
-// expectedEvents estimates the run's total event count from the offered
-// load: per admitted packet, one source event, one arrival plus one service
-// completion per chain stage, and one delivery check. Trace-mode runs weight
-// each request's per-packet cost by its actual share of the trace — a trace
-// skewed toward long-chain requests generates correspondingly more events —
-// rather than assuming arrivals divide uniformly across requests; arrivals
-// naming unknown requests are skipped at seeding time and count nothing.
-// Streaming modes (TraceStream, Sources) cannot enumerate arrivals up
-// front: they scale the rate-weighted mean per-arrival cost by the
-// ExpectedArrivals hint when one is given, and otherwise fall back to the
-// problem's offered rates — exact in expectation for the Poisson default
-// and for mean-preserving generator classes.
-func (cfg *Config) expectedEvents() float64 {
-	if cfg.Trace != nil {
-		cost := make(map[model.RequestID]float64, len(cfg.Problem.Requests))
-		for _, r := range cfg.Problem.Requests {
-			cost[r.ID] = float64(2*len(r.Chain) + 2)
-		}
-		var total float64
-		for _, a := range cfg.Trace.Arrivals {
-			total += cost[a.Request]
-		}
-		return total
-	}
-	var rate, weighted float64
-	for _, r := range cfg.Problem.Requests {
-		rate += r.Rate
-		weighted += r.Rate * float64(2*len(r.Chain)+2)
-	}
-	if cfg.ExpectedArrivals > 0 && rate > 0 {
-		return float64(cfg.ExpectedArrivals) * weighted / rate
-	}
-	return weighted * cfg.Horizon
-}
-
-// resolveAgenda returns the concrete backend the run starts on: the
-// configured kind, or — for AgendaAuto — the 4-ary heap on small runs and
-// the ladder queue once the expected event count clears agendaAutoThreshold.
-// An AgendaAuto run that starts on the heap additionally migrates to the
-// ladder at runtime if its observed pending population crosses
-// agendaAdaptivePending (see agenda.migrateToLadder); Results.Agenda reports
-// the backend the run finished on.
-func (cfg *Config) resolveAgenda() AgendaKind {
-	if cfg.Agenda != AgendaAuto {
-		return cfg.Agenda
-	}
-	if cfg.expectedEvents() >= agendaAutoThreshold {
-		return AgendaLadder
-	}
-	return AgendaHeap
 }
 
 // DropPolicy selects the fate of packets arriving at a full buffer.
@@ -281,10 +216,6 @@ func (d ServiceDist) sample(s *rng.Stream, mu float64) float64 {
 // Results aggregates one run's measurements.
 type Results struct {
 	Horizon, Warmup float64
-
-	// Agenda is the resolved agenda kind the run executed with (never
-	// AgendaAuto). Diagnostic only — it affects no measurement.
-	Agenda AgendaKind
 
 	// Generated counts external packet arrivals admitted before the
 	// horizon (retransmissions are not new packets).
@@ -727,16 +658,8 @@ func (sim *Simulator) Reset(cfg Config) error {
 	default:
 		return fmt.Errorf("simulate: unknown service distribution %d", cfg.ServiceDist)
 	}
-	switch cfg.Agenda {
-	case AgendaAuto, AgendaHeap, AgendaLadder:
-	default:
-		return fmt.Errorf("simulate: unknown agenda kind %d", cfg.Agenda)
-	}
-	if cfg.Trace != nil && cfg.TraceStream != nil {
-		return errors.New("simulate: Trace and TraceStream are mutually exclusive")
-	}
-	if len(cfg.Sources) > 0 && (cfg.Trace != nil || cfg.TraceStream != nil) {
-		return errors.New("simulate: Sources cannot be combined with trace replay (Trace/TraceStream)")
+	if len(cfg.Sources) > 0 && cfg.TraceStream != nil {
+		return errors.New("simulate: Sources cannot be combined with trace replay (TraceStream)")
 	}
 	if cfg.ExpectedArrivals < 0 {
 		return fmt.Errorf("simulate: negative ExpectedArrivals %d", cfg.ExpectedArrivals)
@@ -790,7 +713,7 @@ func (sim *Simulator) Reset(cfg Config) error {
 	s.preemptStream = nil
 	s.preemptGroup = s.preemptGroup[:0]
 	s.preemptAt = 0
-	s.agenda.reset(cfg.resolveAgenda(), cfg.Agenda == AgendaAuto)
+	s.agenda.reset()
 	s.packets = s.packets[:0]
 	s.packetFree = s.packetFree[:0]
 	s.requests = s.requests[:0]
@@ -1077,9 +1000,8 @@ func (sim *Simulator) PendingPackets() int {
 // any staged peeked event), seeding the run first if no primitive has. It is
 // the observable behind the streaming-memory guarantee: immediately after
 // Reset, a flat-Poisson run holds one evSource per live source and a
-// streamed-trace run holds exactly one evStream — independent of how many
-// arrivals the trace or the sources will eventually deliver — whereas a
-// materialized Trace run holds every admitted trace arrival.
+// trace replay holds exactly one evStream — independent of how many
+// arrivals the trace or the sources will eventually deliver.
 func (sim *Simulator) PendingEvents() int {
 	if !sim.ready {
 		return 0
@@ -1177,7 +1099,6 @@ func (s *simulation) resetResults() {
 	*r = Results{
 		Horizon:                s.cfg.Horizon,
 		Warmup:                 s.cfg.Warmup,
-		Agenda:                 s.agenda.kind,
 		LatencySamples:         r.LatencySamples[:0],
 		Utilization:            r.Utilization,
 		MeanJobs:               r.MeanJobs,
@@ -1261,7 +1182,7 @@ func (s *simulation) build() error {
 	// Arrival sources: the caller's override where one exists, otherwise a
 	// poissonSource over the request's arrival stream. The poisson arena is
 	// filled completely before interface pointers are taken — appends may
-	// move the backing array. Trace modes never consult sources, but wiring
+	// move the backing array. Trace replay never consults sources, but wiring
 	// them unconditionally keeps build branch-free.
 	for i := range s.requests {
 		var src ArrivalSource
@@ -1288,17 +1209,13 @@ func (s *simulation) build() error {
 
 // presizeSamples reserves LatencySamples capacity for the expected number of
 // post-warmup deliveries, so the hot loop appends without reallocating. The
-// estimate is the aggregate Poisson rate over the measurement window (or the
-// trace length), capped to bound the up-front reservation on huge horizons.
+// estimate is the ExpectedArrivals hint, else the aggregate Poisson rate
+// over the measurement window, capped to bound the up-front reservation on
+// huge horizons.
 func (s *simulation) presizeSamples() {
 	const presizeCap = 1 << 21 // 2 Mi samples = 16 MiB, then append growth takes over
-	expected := 0
-	switch {
-	case s.cfg.Trace != nil:
-		expected = len(s.cfg.Trace.Arrivals)
-	case s.cfg.ExpectedArrivals > 0:
-		expected = s.cfg.ExpectedArrivals
-	default:
+	expected := s.cfg.ExpectedArrivals
+	if expected == 0 {
 		var totalRate float64
 		for _, r := range s.requests {
 			totalRate += r.Rate
@@ -1313,46 +1230,22 @@ func (s *simulation) presizeSamples() {
 	}
 }
 
-// streamSeqBase is where the regular sequence counter starts on a streamed-
-// trace run. Materialized replay pushes every trace arrival at seed time, so
-// trace arrivals occupy the lowest sequence numbers and win every time tie
-// against in-run events while ordering among themselves by row position;
-// streamed replay reproduces that exact pop order by stamping admitted rows
-// with their row index from the band [1, streamSeqBase] and starting the
-// in-run counter above it. 2^48 rows dwarfs any replayable trace, and the
-// in-run counter keeps 2^64−2^48 values of headroom. Sequence values are
-// unobservable — only pop order matters — so raising the base is invisible
-// to every measurement.
+// streamSeqBase is where the regular sequence counter starts on a trace
+// replay. Admitted trace rows are stamped with their row index from the band
+// [1, streamSeqBase] and the in-run counter starts above it, so a trace
+// arrival wins every time tie against in-run events, and tied trace rows pop
+// in row order. That is the tie order the trace-replay goldens pin. 2^48
+// rows dwarfs any replayable trace, and the in-run counter keeps 2^64−2^48
+// values of headroom. Sequence values are unobservable — only pop order
+// matters — so raising the base is invisible to every measurement.
 const streamSeqBase = 1 << 48
 
-// seedArrivals schedules the first external arrival of every request, pushes
-// the whole materialized trace, or stages the first streamed-trace row.
+// seedArrivals schedules the first external arrival of every request, or
+// stages the first trace row.
 func (s *simulation) seedArrivals() {
 	if s.cfg.TraceStream != nil {
 		s.agenda.startSeqAt(streamSeqBase)
 		s.scheduleNextStream()
-		return
-	}
-	if s.cfg.Trace != nil {
-		index := make(map[model.RequestID]int32, len(s.requests))
-		for i, r := range s.requests {
-			index[r.ID] = int32(i)
-		}
-		for _, a := range s.cfg.Trace.Arrivals {
-			i, ok := index[a.Request]
-			if !ok || a.Time >= s.cfg.Horizon || s.injectOnly[i] {
-				continue
-			}
-			s.results.Generated++
-			s.live++
-			pid := s.newPacket(i, a.Time)
-			s.agenda.push(event{
-				time: a.Time,
-				kind: evArrival,
-				pkt:  pid,
-				inst: s.routeFlat[s.chainOff[i]],
-			})
-		}
 		return
 	}
 	for i := range s.requests {
@@ -1388,9 +1281,9 @@ func (s *simulation) scheduleNextSource(i int32, t float64) {
 // horizon — and stages it as a stamped evStream event carrying its row-band
 // sequence number, so exactly one trace arrival is ever pending. The first
 // row at or past the horizon ends the replay (rows are time-ordered, so
-// everything after it is cut off too, exactly like materialized seeding
-// skipping those rows). A malformed or out-of-order row latches streamErr,
-// stops the stream, and fails the run once the agenda drains.
+// everything after it is cut off too). A malformed or out-of-order row
+// latches streamErr, stops the stream, and fails the run once the agenda
+// drains.
 func (s *simulation) scheduleNextStream() {
 	ts := s.cfg.TraceStream
 	for {
@@ -1469,14 +1362,10 @@ func (s *simulation) dispatch(e event) {
 	case evPreemptNotice:
 		s.preemptNotice()
 	case evStream:
-		// A streamed trace arrival: admit the packet exactly as a
-		// materialized replay dispatches its seeded evArrival — same time,
-		// same (row-band) sequence position, no admission shed (seeded trace
-		// arrivals never consult the shed either) — then pull the next row.
-		// Packet arena indices differ from the materialized run (packets are
-		// born lazily and recycled instead of all at seed time), but indices
-		// influence no ordering or measurement, which is what keeps the two
-		// replays fingerprint-identical while this one holds O(live) packets.
+		// A trace arrival: admit the packet at its (row-band) sequence
+		// position, without consulting the admission shed — recorded
+		// arrivals are replayed as recorded — then pull the next row, so
+		// the replay holds O(live) packets however long the trace is.
 		i := e.reqIndex
 		s.results.Generated++
 		s.live++
@@ -1637,9 +1526,6 @@ func (s *simulation) advance(pid int32) {
 // finalize folds in-flight busy time, normalizes utilizations, and publishes
 // the per-instance and per-request aggregates kept out of the hot loop.
 func (s *simulation) finalize() {
-	// Re-read the agenda kind: an adaptive AgendaAuto run may have migrated
-	// heap→ladder mid-run (Results.Agenda reports the final backend).
-	s.results.Agenda = s.agenda.kind
 	s.results.InFlight = s.live
 	span := s.cfg.Horizon - s.cfg.Warmup
 	for i := range s.instances {

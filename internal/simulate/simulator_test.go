@@ -256,7 +256,7 @@ func TestTraceDrivenMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Problem: prob, Schedule: sched, Horizon: 500, Warmup: 25, Trace: tr, Seed: 21})
+	res, err := Run(Config{Problem: prob, Schedule: sched, Horizon: 500, Warmup: 25, TraceStream: tr.Cursor(), Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestTraceDrivenMode(t *testing.T) {
 		t.Errorf("trace-driven latency %v vs theory %v", res.Latency.Mean(), want)
 	}
 	// Same trace twice → identical arrival process.
-	res2, err := Run(Config{Problem: prob, Schedule: sched, Horizon: 500, Warmup: 25, Trace: tr, Seed: 21})
+	res2, err := Run(Config{Problem: prob, Schedule: sched, Horizon: 500, Warmup: 25, TraceStream: tr.Cursor(), Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}

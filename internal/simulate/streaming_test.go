@@ -3,8 +3,8 @@ package simulate
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"nfvchain/internal/model"
@@ -13,26 +13,8 @@ import (
 	"nfvchain/internal/workload"
 )
 
-// sliceCursor replays a materialized arrival slice through the TraceSource
-// interface — the minimal in-memory streamed counterpart of Config.Trace.
-type sliceCursor struct {
-	arrivals []workload.Arrival
-	i        int
-}
-
-func (c *sliceCursor) NextArrival() (float64, model.RequestID, bool) {
-	if c.i >= len(c.arrivals) {
-		return 0, "", false
-	}
-	a := c.arrivals[c.i]
-	c.i++
-	return a.Time, a.Request, true
-}
-
-func (c *sliceCursor) Err() error { return nil }
-
 // streamFixture solves the default generated workload and samples a trace —
-// the shared fixture of the streamed-vs-materialized differentials.
+// the shared fixture of the trace-replay goldens.
 func streamFixture(t *testing.T) (*model.Problem, *model.Schedule, *workload.Trace) {
 	t.Helper()
 	wcfg := workload.DefaultConfig()
@@ -53,39 +35,14 @@ func streamFixture(t *testing.T) (*model.Problem, *model.Schedule, *workload.Tra
 	return p, sched, tr
 }
 
-// TestStreamReplayMatchesMaterialized pins the tentpole identity: replaying a
-// trace through the streaming cursor is bit-identical to materializing it
-// into Config.Trace, under both agenda backends.
-func TestStreamReplayMatchesMaterialized(t *testing.T) {
-	p, sched, tr := streamFixture(t)
-	for _, kind := range []AgendaKind{AgendaHeap, AgendaLadder} {
-		t.Run(fmt.Sprint(kind), func(t *testing.T) {
-			base := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7, Agenda: kind}
-			mat := base
-			mat.Trace = tr
-			resM, err := Run(mat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			str := base
-			str.TraceStream = &sliceCursor{arrivals: tr.Arrivals}
-			resS, err := Run(str)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fm, fs := fingerprintResults(resM), fingerprintResults(resS); fm != fs {
-				t.Errorf("streamed replay fingerprint %#x != materialized %#x", fs, fm)
-			}
-			if resM.Generated != resS.Generated {
-				t.Errorf("generated: streamed %d != materialized %d", resS.Generated, resM.Generated)
-			}
-		})
-	}
-}
+// goldenTraceReplay is the fingerprint of replaying streamFixture's trace
+// (Horizon 20, Warmup 2, Seed 7).
+const goldenTraceReplay = 0x28938ab6f8d34ac8
 
 // TestTraceReplayGolden pins trace replay of a GenerateTrace sample to
-// fingerprints captured on the materialized replay path, so streamed replay
-// of a workload.Trace stays bit-identical to it. The "grid" case snaps every
+// fingerprints captured when a workload.Trace was still seeded into the
+// agenda up front, so its Cursor replay stays bit-identical to that path.
+// The "grid" case snaps every
 // row to a 10 ms grid, so many rows of different requests share a timestamp
 // and replay order among them rests on the row-order tie-break alone. The
 // "tied" case replays bursts on a 1/64 s grid into one deterministic
@@ -115,14 +72,14 @@ func TestTraceReplayGolden(t *testing.T) {
 		tr   *workload.Trace
 		want uint64
 	}{
-		{"generated", base, tr, 0x28938ab6f8d34ac8},
+		{"generated", base, tr, goldenTraceReplay},
 		{"grid", base, grid, 0xcfe0b1bffe5cc2b3},
 		{"tied", queue, tied, 0x119de0c5a732b03c},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			cfg.Trace = tc.tr
+			cfg.TraceStream = tc.tr.Cursor()
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -136,7 +93,7 @@ func TestTraceReplayGolden(t *testing.T) {
 
 // TestStreamReplayFromCSV closes the loop through the file format: a CSV
 // written by the trace is replayed via workload.TraceStream and must match
-// the materialized run bit for bit.
+// the trace-replay golden bit for bit.
 func TestStreamReplayFromCSV(t *testing.T) {
 	p, sched, tr := streamFixture(t)
 	var buf bytes.Buffer
@@ -147,21 +104,12 @@ func TestStreamReplayFromCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7}
-	mat := base
-	mat.Trace = tr
-	resM, err := Run(mat)
+	res, err := Run(Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7, TraceStream: ts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	str := base
-	str.TraceStream = ts
-	resS, err := Run(str)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fm, fs := fingerprintResults(resM), fingerprintResults(resS); fm != fs {
-		t.Errorf("CSV-streamed fingerprint %#x != materialized %#x", fs, fm)
+	if got := fingerprintResults(res); got != goldenTraceReplay {
+		t.Errorf("CSV-streamed fingerprint %#x != golden %#x", got, goldenTraceReplay)
 	}
 }
 
@@ -218,6 +166,9 @@ func (c *syntheticCursor) Err() error { return nil }
 // TestStreamPendingEventsConstant is the acceptance-scale check: a streamed
 // replay of 1M arrivals stages exactly one arrival event at t=0 — the live
 // cursor count, not the arrival count — and still generates every packet.
+// An in-memory workload.Trace replayed through its Cursor keeps the same
+// bound for the whole run: one pending trace row plus at most one event per
+// packet in flight, however many rows the trace holds.
 func TestStreamPendingEventsConstant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-arrival replay")
@@ -242,20 +193,35 @@ func TestStreamPendingEventsConstant(t *testing.T) {
 		t.Fatalf("generated %d of %d streamed arrivals", res.Generated, n)
 	}
 
-	// Materialized contrast: the same replay through Config.Trace stages
-	// every arrival up front.
-	const small = 1000
+	const rows = 20000
 	tr := &workload.Trace{Horizon: 30}
-	for i := 1; i <= small; i++ {
-		tr.Arrivals = append(tr.Arrivals, workload.Arrival{Time: float64(i) * 30.0 / small, Request: prob.Requests[0].ID})
+	for i := 1; i <= rows; i++ {
+		tr.Arrivals = append(tr.Arrivals, workload.Arrival{Time: float64(i) * 30.0 / rows, Request: prob.Requests[0].ID})
 	}
-	simM := NewSimulator()
-	if err := simM.Reset(Config{Problem: prob, Schedule: sched, Horizon: 60, Seed: 5, Trace: tr}); err != nil {
+	simT := NewSimulator()
+	if err := simT.Reset(Config{Problem: prob, Schedule: sched, Horizon: 60, Seed: 5, TraceStream: tr.Cursor()}); err != nil {
 		t.Fatal(err)
 	}
-	if got := simM.PendingEvents(); got != small {
-		t.Fatalf("materialized pending events at t=0 = %d, want %d (every arrival staged)", got, small)
+	if got := simT.PendingEvents(); got != 1 {
+		t.Fatalf("Trace.Cursor pending events at t=0 = %d, want 1 (one live cursor)", got)
 	}
+	peak := 0
+	for simT.HasPendingEvents() {
+		if pe, live := simT.PendingEvents(), simT.PendingPackets(); pe > 1+live {
+			t.Fatalf("pending events %d exceed one trace row + %d packets in flight", pe, live)
+		} else if pe > peak {
+			peak = pe
+		}
+		simT.ProcessNextEvent()
+	}
+	resT, err := simT.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resT.Generated != rows {
+		t.Fatalf("generated %d of %d trace rows", resT.Generated, rows)
+	}
+	t.Logf("Trace.Cursor replay of %d rows: peak %d pending events", rows, peak)
 }
 
 // errCursor yields a decreasing timestamp pair.
@@ -285,21 +251,18 @@ func TestStreamOutOfOrderFails(t *testing.T) {
 	}
 }
 
-// TestStreamConfigValidation covers the new mutual-exclusion and hint rules.
+// TestStreamConfigValidation covers the mutual-exclusion and hint rules.
 func TestStreamConfigValidation(t *testing.T) {
 	prob, sched := singleQueueProblem(50, 150, 1)
 	tr, err := workload.GenerateTrace(prob, 5, workload.InterArrivalExponential, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := func() TraceSource { return &sliceCursor{arrivals: tr.Arrivals} }
 	srcs := map[model.RequestID]ArrivalSource{
 		prob.Requests[0].ID: workload.NewPoisson(50, rng.Derive(1, "x")),
 	}
 	cases := map[string]Config{
-		"trace+stream":      {Problem: prob, Schedule: sched, Horizon: 5, Trace: tr, TraceStream: cur()},
-		"sources+trace":     {Problem: prob, Schedule: sched, Horizon: 5, Trace: tr, Sources: srcs},
-		"sources+stream":    {Problem: prob, Schedule: sched, Horizon: 5, TraceStream: cur(), Sources: srcs},
+		"sources+stream":    {Problem: prob, Schedule: sched, Horizon: 5, TraceStream: tr.Cursor(), Sources: srcs},
 		"negative-expected": {Problem: prob, Schedule: sched, Horizon: 5, ExpectedArrivals: -1},
 	}
 	for name, cfg := range cases {
@@ -309,25 +272,51 @@ func TestStreamConfigValidation(t *testing.T) {
 	}
 }
 
-// TestExpectedArrivalsHint pins the agenda-sizing satellite: with the hint
-// set, expectedEvents scales the per-arrival event cost by the hinted count
-// instead of the offered-rate estimate, and without it the historical
-// rate-based formula is untouched.
+// TestExpectedArrivalsHint pins the sample-presizing hint: with the hint
+// set, Reset reserves LatencySamples for the hinted arrival count, and
+// without it for the offered-rate estimate Σ Rate·(Horizon−Warmup).
 func TestExpectedArrivalsHint(t *testing.T) {
 	prob, sched := singleQueueProblem(50, 150, 1)
-	base := Config{Problem: prob, Schedule: sched, Horizon: 100}
-	withoutHint := base.expectedEvents()
-	if withoutHint <= 0 {
-		t.Fatalf("rate-based estimate %v not positive", withoutHint)
+	for _, tc := range []struct{ hint, want int }{{0, 50 * 90}, {20000, 20000}} {
+		sim := NewSimulator()
+		cfg := Config{Problem: prob, Schedule: sched, Horizon: 100, Warmup: 10, ExpectedArrivals: tc.hint}
+		if err := sim.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := cap(sim.s.results.LatencySamples); got != tc.want {
+			t.Errorf("hint %d: reserved %d samples, want %d", tc.hint, got, tc.want)
+		}
 	}
-	hinted := base
-	hinted.ExpectedArrivals = 1_000_000
-	withHint := hinted.expectedEvents()
-	// 1M arrivals vs 50 pps * 100 s = 5000: the hint must scale the estimate
-	// by the arrival ratio (each arrival costs the same event multiple).
-	ratio := withHint / withoutHint
-	want := 1_000_000.0 / 5000.0
-	if ratio < 0.99*want || ratio > 1.01*want {
-		t.Errorf("hinted/unhinted event estimate ratio %v, want ~%v", ratio, want)
+}
+
+// TestTraceReplayRejectsHostileRows asserts a trace row with a NaN,
+// negative or decreasing time fails the run with an error naming the row,
+// rather than being generated and never delivered or silently reordered.
+func TestTraceReplayRejectsHostileRows(t *testing.T) {
+	prob, sched := singleQueueProblem(50, 150, 1)
+	id := prob.Requests[0].ID
+	cases := []struct {
+		name  string
+		times []float64
+		row   string
+	}{
+		{"nan", []float64{0.1, math.NaN(), 0.3}, "trace row 2"},
+		{"negative", []float64{0.1, 0.2, -1}, "trace row 3"},
+		{"decreasing", []float64{0.1, 0.3, 0.2}, "trace row 3"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &workload.Trace{Horizon: 1}
+			for _, tm := range tc.times {
+				tr.Arrivals = append(tr.Arrivals, workload.Arrival{Time: tm, Request: id})
+			}
+			_, err := Run(Config{Problem: prob, Schedule: sched, Horizon: 1, Seed: 5, TraceStream: tr.Cursor()})
+			if err == nil {
+				t.Fatal("hostile trace row accepted")
+			}
+			if !strings.Contains(err.Error(), tc.row) {
+				t.Errorf("error %q does not name %q", err, tc.row)
+			}
+		})
 	}
 }

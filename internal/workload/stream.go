@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
@@ -19,7 +18,7 @@ import (
 // non-decreasing time order — the order WriteCSV emits — and replay order is
 // file order. TraceStream satisfies simulate.TraceSource: hand it to
 // simulate.Config.TraceStream for constant-memory replay, bit-identical to
-// materializing the same file through ReadTraceCSV + Config.Trace.
+// replaying ReadTraceCSV's Trace through its Cursor.
 type TraceStream struct {
 	cr   *csv.Reader
 	ids  map[string]model.RequestID
@@ -65,12 +64,8 @@ func (t *TraceStream) NextArrival() (float64, model.RequestID, bool) {
 		t.fail(fmt.Errorf("workload: trace row %d: bad time %q: %w", t.row, rec[0], err))
 		return 0, "", false
 	}
-	if math.IsNaN(tm) || tm < 0 {
-		t.fail(fmt.Errorf("workload: trace row %d: negative or NaN time %v", t.row, tm))
-		return 0, "", false
-	}
-	if tm < t.last {
-		t.fail(fmt.Errorf("workload: trace row %d: time %v decreases below %v (streamed traces must be time-ordered)", t.row, tm, t.last))
+	if err := checkRowTime(t.row, tm, t.last); err != nil {
+		t.fail(err)
 		return 0, "", false
 	}
 	t.last = tm

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -41,6 +42,52 @@ func TestTraceStreamRoundTrip(t *testing.T) {
 	}
 	if ts.Row() != len(tr.Arrivals) {
 		t.Errorf("Row() = %d, want %d", ts.Row(), len(tr.Arrivals))
+	}
+}
+
+// TestTraceCursor replays an in-memory trace row for row, and stops with a
+// sticky error naming the first row whose time is NaN, negative or below
+// its predecessor's.
+func TestTraceCursor(t *testing.T) {
+	p := sourceProblem(t, 30)
+	tr, err := GenerateTrace(p, 5, InterArrivalExponential, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := tr.Cursor()
+	for i, a := range tr.Arrivals {
+		tm, id, ok := c.NextArrival()
+		if !ok || tm != a.Time || id != a.Request {
+			t.Fatalf("row %d: cursor (%v, %s, %v) != trace (%v, %s)", i, tm, id, ok, a.Time, a.Request)
+		}
+	}
+	if _, _, ok := c.NextArrival(); ok || c.Err() != nil {
+		t.Fatalf("cursor past the end: ok=%v err=%v", ok, c.Err())
+	}
+
+	bad := map[string]struct {
+		times []float64
+		row   string
+	}{
+		"nan":        {[]float64{1, math.NaN()}, "trace row 2"},
+		"negative":   {[]float64{-1}, "trace row 1"},
+		"decreasing": {[]float64{1, 2, 2, 1.5}, "trace row 4"},
+	}
+	for name, tc := range bad {
+		tr := &Trace{}
+		for _, tm := range tc.times {
+			tr.Arrivals = append(tr.Arrivals, Arrival{Time: tm, Request: model.RequestID("r")})
+		}
+		c := tr.Cursor()
+		for i := 0; i < len(tc.times)+1; i++ {
+			c.NextArrival()
+		}
+		if err := c.Err(); err == nil || !strings.Contains(err.Error(), tc.row) {
+			t.Errorf("%s: Err() = %v, want an error naming %q", name, err, tc.row)
+		}
+		if _, _, ok := c.NextArrival(); ok {
+			t.Errorf("%s: cursor resumed after a bad row", name)
+		}
 	}
 }
 
@@ -115,7 +162,7 @@ func TestAnalyzeArrivalsMatchesAnalyzeTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := AnalyzeTrace(tr)
-	got, err := AnalyzeArrivals(&traceCursor{tr: tr}, tr.Horizon)
+	got, err := AnalyzeArrivals(tr.Cursor(), tr.Horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,23 +175,6 @@ func TestAnalyzeArrivalsMatchesAnalyzeTrace(t *testing.T) {
 		}
 	}
 }
-
-// traceCursor adapts a materialized Trace to the ArrivalCursor interface.
-type traceCursor struct {
-	tr *Trace
-	i  int
-}
-
-func (c *traceCursor) NextArrival() (float64, model.RequestID, bool) {
-	if c.i >= len(c.tr.Arrivals) {
-		return 0, "", false
-	}
-	a := c.tr.Arrivals[c.i]
-	c.i++
-	return a.Time, a.Request, true
-}
-
-func (c *traceCursor) Err() error { return nil }
 
 // TestAnalyzeArrivalsBoundsInfiniteCursor pins the horizon-bounded pull: a
 // MergedStream over renewal sources never ends, so a positive horizon must

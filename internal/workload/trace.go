@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 
@@ -16,12 +17,64 @@ type Arrival struct {
 	Request model.RequestID
 }
 
-// Trace is a packet-level arrival trace over a finite horizon, sorted by
-// time. It drives the discrete-event simulator in trace-driven mode and can
-// be exported/imported as CSV.
+// Trace is a packet-level arrival trace over a finite horizon. It drives
+// the discrete-event simulator in trace-driven mode (through Cursor) and can
+// be exported/imported as CSV. Arrivals must be in non-decreasing time
+// order, ties in replay order; GenerateTrace and ReadTraceCSV both sort, and
+// Cursor rejects a row that breaks the order.
 type Trace struct {
 	Horizon  float64
 	Arrivals []Arrival
+}
+
+// Cursor returns a forward-only cursor over the trace's arrivals in slice
+// order, for replay through simulate.Config.TraceStream. Like TraceStream,
+// it stops at the first NaN, negative or decreasing time, and Err names
+// that row.
+func (t *Trace) Cursor() *TraceCursor {
+	return &TraceCursor{arrivals: t.Arrivals}
+}
+
+// TraceCursor replays an in-memory Trace one row at a time; it satisfies
+// simulate.TraceSource. Build one with Trace.Cursor.
+type TraceCursor struct {
+	arrivals []Arrival
+	i        int
+	last     float64
+	err      error
+}
+
+// NextArrival returns the next row; ok is false at the end of the trace or
+// on the first bad row (check Err to tell the two apart).
+func (c *TraceCursor) NextArrival() (float64, model.RequestID, bool) {
+	if c.err != nil || c.i >= len(c.arrivals) {
+		return 0, "", false
+	}
+	a := c.arrivals[c.i]
+	c.i++
+	if err := checkRowTime(c.i, a.Time, c.last); err != nil {
+		c.err = err
+		return 0, "", false
+	}
+	c.last = a.Time
+	return a.Time, a.Request, true
+}
+
+// Err reports why the cursor stopped: nil at a clean end, the first row
+// error otherwise.
+func (c *TraceCursor) Err() error { return c.err }
+
+// checkRowTime validates the time of 1-based data row `row` against the
+// previous row's time: replay needs non-negative, non-decreasing times, and
+// NaN is neither.
+func checkRowTime(row int, tm, last float64) error {
+	if math.IsNaN(tm) || tm < 0 {
+		return fmt.Errorf("workload: trace row %d: negative or NaN time %v", row, tm)
+	}
+	if tm < last {
+		return fmt.Errorf("workload: trace row %d: time %v decreases below %v (replayed traces must be time-ordered)", row, tm, last)
+	}
+	return nil
 }
 
 // InterArrival selects the inter-arrival time distribution of generated
