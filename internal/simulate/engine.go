@@ -21,8 +21,8 @@
 // transitions bypass the heap entirely; packets live in a flat arena indexed
 // by int32 and are recycled through a free list, each instance's waiting
 // room is a ring buffer of packet indices, and the latency-sample slice is
-// pre-sized from the offered load.  A Simulator can additionally be Reset and re-Run
-// so sweeps reuse every backing array across trials.
+// pre-sized from the offered load.  A Simulator can additionally be Reset
+// and re-Run so sweeps reuse every backing array across trials.
 package simulate
 
 import "math"

@@ -108,8 +108,9 @@ type Config struct {
 
 	// InjectOnly lists requests whose external arrivals are supplied by the
 	// caller through Simulator.Inject instead of being generated from Rate
-	// (or replayed from TraceStream). The requests still participate in scheduling and
-	// admission exactly like any other — only their arrival source changes.
+	// (or replayed from TraceStream). The requests still participate in
+	// scheduling and admission exactly like any other — only their arrival
+	// source changes.
 	// This is how a ClusterSimulator drives cross-datacenter traffic: every
 	// datacenter provisions for the global requests it might serve, and the
 	// cluster scheduler injects each global packet into the datacenter its

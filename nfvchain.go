@@ -261,8 +261,6 @@ type (
 	// Trace is a packet-level arrival trace for trace-driven simulation;
 	// replay it with SimulationConfig{TraceStream: tr.Cursor()}.
 	Trace = workload.Trace
-	// TraceCursor replays an in-memory Trace; build one with Trace.Cursor.
-	TraceCursor = workload.TraceCursor
 	// ArrivalSource is a pull-based arrival-time generator consumed by the
 	// simulator (SimulationConfig.Sources) and the cluster driver.
 	ArrivalSource = simulate.ArrivalSource
