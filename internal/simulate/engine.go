@@ -73,7 +73,8 @@ func eventBefore(a, b *event) bool {
 // Queued packets wait in per-instance rings, not on the agenda, so it holds
 // only O(arrival sources + busy instances + packets on links) events — a few
 // hundred on the default workload. At that size the heap's short,
-// cache-friendly sift is the fastest structure measured (EXPERIMENTS.md).
+// cache-friendly sift is enough: a ladder queue measured no resolved gain on
+// the benchmark scenarios and allocated more (EXPERIMENTS.md).
 //
 // The FIFO exploits the dominant event pattern of the DES: a finished packet
 // advancing to a co-located stage is pushed with time exactly equal to the
@@ -248,17 +249,6 @@ func (a *agenda) popFIFO() event {
 	}
 	a.n--
 	return e
-}
-
-func (a *agenda) empty() bool {
-	if a.nhead < len(a.now) {
-		return false
-	}
-	n := len(a.heap.events)
-	if a.heap.holed {
-		n--
-	}
-	return n == 0
 }
 
 // fifoEmpty reports whether the due-now FIFO is drained. While it is, an
