@@ -40,41 +40,57 @@ func TestSteppingDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sim Simulator
-	if err := sim.Reset(cfg); err != nil {
-		t.Fatal(err)
-	}
-	steps := 0
-	lastT := 0.0
-	for sim.HasPendingEvents() {
-		if pt := sim.PeekNextEventTime(); pt < lastT {
-			t.Fatalf("step %d: peeked time %v went backwards (last %v)", steps, pt, lastT)
-		} else {
-			lastT = pt
-		}
-		if !sim.ProcessNextEvent() {
-			t.Fatalf("step %d: HasPendingEvents true but ProcessNextEvent refused", steps)
-		}
-		steps++
-	}
-	if sim.ProcessNextEvent() {
-		t.Fatal("ProcessNextEvent advanced past a drained agenda")
-	}
-	if pt := sim.PeekNextEventTime(); !math.IsInf(pt, 1) {
-		t.Fatalf("drained PeekNextEventTime = %v, want +Inf", pt)
-	}
-	got, err := sim.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if steps == 0 {
-		t.Fatal("stepped run processed no events")
-	}
-	if fg, fw := fingerprintResults(got), fingerprintResults(want); fg != fw {
-		t.Errorf("stepped run fingerprint %#x != Run fingerprint %#x", fg, fw)
-	}
-	if _, err := sim.Finalize(); err == nil {
-		t.Error("second Finalize without Reset succeeded")
+	// heap steps a fresh Simulator; auto steps one left mid-run by an
+	// abandoned drive, so Reset must drop every event its agenda still holds.
+	for _, name := range []string{"auto", "heap"} {
+		t.Run(name, func(t *testing.T) {
+			var sim Simulator
+			if name == "auto" {
+				if err := sim.Reset(Config{Problem: p, Schedule: sched, Horizon: 30, Warmup: 1, Seed: 3, BufferSize: 2}); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 500 && sim.ProcessNextEvent(); i++ {
+				}
+				if !sim.HasPendingEvents() {
+					t.Fatal("abandoned run drained before it was abandoned")
+				}
+			}
+			if err := sim.Reset(cfg); err != nil {
+				t.Fatal(err)
+			}
+			steps := 0
+			lastT := 0.0
+			for sim.HasPendingEvents() {
+				if pt := sim.PeekNextEventTime(); pt < lastT {
+					t.Fatalf("step %d: peeked time %v went backwards (last %v)", steps, pt, lastT)
+				} else {
+					lastT = pt
+				}
+				if !sim.ProcessNextEvent() {
+					t.Fatalf("step %d: HasPendingEvents true but ProcessNextEvent refused", steps)
+				}
+				steps++
+			}
+			if sim.ProcessNextEvent() {
+				t.Fatal("ProcessNextEvent advanced past a drained agenda")
+			}
+			if pt := sim.PeekNextEventTime(); !math.IsInf(pt, 1) {
+				t.Fatalf("drained PeekNextEventTime = %v, want +Inf", pt)
+			}
+			got, err := sim.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if steps == 0 {
+				t.Fatal("stepped run processed no events")
+			}
+			if fg, fw := fingerprintResults(got), fingerprintResults(want); fg != fw {
+				t.Errorf("stepped run fingerprint %#x != Run fingerprint %#x", fg, fw)
+			}
+			if _, err := sim.Finalize(); err == nil {
+				t.Error("second Finalize without Reset succeeded")
+			}
+		})
 	}
 }
 
