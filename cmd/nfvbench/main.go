@@ -278,8 +278,7 @@ func scenarios() []scenario {
 		{"Simulator/failure-churn", simulatorFailureChurn},
 		{"Simulator/preemption-churn", simulatorPreemptionChurn},
 		{"Simulator/cluster", simulatorCluster},
-		{"Simulator/cluster-sequential", func(b *testing.B) { simulatorClusterWindowAB(b, 0) }},
-		{"Simulator/cluster-parallel", func(b *testing.B) { simulatorClusterWindowAB(b, runtime.GOMAXPROCS(0)) }},
+		{"Simulator/cluster-parallel", simulatorClusterParallel},
 	}
 	for _, n := range []int{250, 1000, 2000} {
 		n := n
@@ -564,15 +563,12 @@ func simulatorCluster(b *testing.B) {
 	}
 }
 
-// simulatorClusterWindowAB is the sequential-vs-windowed A/B behind the
-// Config.Workers knob: the same 8-datacenter composition as
+// simulatorClusterParallel is the same 8-datacenter composition as
 // Simulator/cluster but with sparse global traffic (4 arrivals/s against
 // ~300 pps of local load per datacenter), so each conservative window
-// carries thousands of drainable events. workers = 0 measures the
-// event-interleaved sequential driver, workers = GOMAXPROCS the windowed
-// driver with the pool sized to the machine. Results are bit-identical; the
-// scenarios differ only in driver overhead.
-func simulatorClusterWindowAB(b *testing.B, workers int) {
+// carries thousands of drainable events, and with the drain pool sized to
+// the machine (Workers = GOMAXPROCS).
+func simulatorClusterParallel(b *testing.B) {
 	prob, sched := clusterFixture()
 	const dcs = 8
 	for i := 0; i < b.N; i++ {
@@ -581,7 +577,7 @@ func simulatorClusterWindowAB(b *testing.B, workers int) {
 			Router:     cluster.LeastLoaded{},
 			Global:     []cluster.GlobalRequest{{ID: "global", Rate: 4, Home: 0}},
 			Seed:       uint64(i),
-			Workers:    workers,
+			Workers:    runtime.GOMAXPROCS(0),
 		}
 		for d := 0; d < dcs; d++ {
 			cfg.Datacenters = append(cfg.Datacenters, cluster.Datacenter{

@@ -77,7 +77,7 @@ func runTo(args []string, stdout io.Writer) error {
 		wanLatency  = fs.Float64("wan-latency", 0.005, "with -datacenters: inter-datacenter entry-hop latency in seconds")
 		routeStr    = fs.String("route", "locality", "with -datacenters: cross-datacenter routing policy: locality|least-loaded|weighted")
 		globalFrac  = fs.Float64("global-fraction", 0.25, "with -datacenters: fraction of requests promoted to cluster-level flows routed across datacenters")
-		clusterWork = fs.Int("cluster-workers", 0, "with -datacenters: cluster execution driver: 0 = sequential event interleaving, >= 1 = conservative-window driver draining datacenters between routing barriers (in parallel on that many goroutines when > 1); results are bit-identical")
+		clusterWork = fs.Int("cluster-workers", 0, "with -datacenters: goroutines draining datacenters per window; 0 or 1 drains inline; results are bit-identical")
 
 		workloadStr = fs.String("workload", "flat", "with -simulate: arrival workload: flat (homogeneous Poisson), classes (heterogeneous client classes: steady/diurnal/bursty), trace-stream (constant-memory CSV replay via -trace-file)")
 		traceFile   = fs.String("trace-file", "", "with -workload trace-stream: trace CSV to replay (as written by cmd/tracegen)")

@@ -41,14 +41,14 @@
 // Beyond the paper's single datacenter, OptimizeCluster partitions a
 // workload across N regions (a configurable fraction of requests promoted
 // to global flows any region can serve) and SimulateCluster composes the N
-// per-region simulators under one global clock: the underlying Simulator
-// exposes stepping primitives (HasPendingEvents, PeekNextEventTime,
-// ProcessNextEvent, Inject), and internal/cluster always advances the
-// datacenter with the earliest pending event, routing each global arrival
-// with a pluggable policy (NewClusterRouter: locality, least-loaded,
-// weighted) and charging a WAN entry hop for off-home service. A
-// 1-datacenter cluster at zero WAN latency is bit-identical to a plain
-// Simulate call at the same seed.
+// per-region simulators under one global clock. Regions interact only when
+// a global arrival is routed, so internal/cluster runs in conservative
+// windows: every region drains its own events up to the next global arrival
+// (on ClusterSimConfig.Workers goroutines; 0 or 1 drains inline), then the
+// arrival is routed with a pluggable policy (NewClusterRouter: locality,
+// least-loaded, weighted) and charged a WAN entry hop for off-home service.
+// Results do not depend on the worker count. A 1-datacenter cluster at zero
+// WAN latency is bit-identical to a plain Simulate call at the same seed.
 //
 // # Streaming workloads
 //

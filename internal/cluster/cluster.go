@@ -4,14 +4,17 @@
 // global service-chain requests whose arrivals are routed across datacenters
 // by a pluggable policy and pay a WAN entry hop when served away from home.
 //
-// The composition is built on the Simulator stepping primitives
-// (PeekNextEventTime / ProcessNextEvent / Inject): the ClusterSimulator
-// repeatedly advances whichever datacenter holds the globally earliest
-// pending event, interleaving cluster-level arrival injections in exact
-// timestamp order. Each datacenter therefore executes the identical event
-// sequence it would standalone given the same injections — with one
-// datacenter and no global traffic the composition is bit-identical to a
-// plain simulate.Run (the equivalence golden pins this).
+// Datacenters interact only when a global arrival is routed, so the
+// ClusterSimulator runs in conservative windows (see windowed.go): each
+// window ends at the earliest pending global arrival, every datacenter
+// drains its own agenda to that barrier (simulate.Simulator.DrainUntil),
+// and the arrival is then routed and injected at the barrier instant. Each
+// datacenter therefore executes the identical event sequence it would
+// standalone given the same injections — with one datacenter and no global
+// traffic the composition is bit-identical to a plain simulate.Run (the
+// equivalence golden pins this). The event-at-a-time definition of the
+// composition lives in the tests as the oracle the windowed driver is
+// checked against.
 //
 // WAN latency is modeled on entry: a packet routed off-home arrives at the
 // serving datacenter WANLatency seconds after its birth, and its measured
@@ -59,19 +62,11 @@ type Config struct {
 	// Seed drives the cluster-level arrival streams (derived per request;
 	// independent of every datacenter seed).
 	Seed uint64
-	// Workers selects the cluster execution driver. 0 (the default) keeps
-	// the event-interleaved sequential driver: one global event at a time in
-	// exact (time, seq) order. Workers >= 1 switches to the conservative-
-	// window driver: datacenters only interact at global arrival instants,
-	// so between consecutive arrivals each datacenter drains its own agenda
-	// to the barrier in one batch (simulate.Simulator.DrainUntil) — inline
-	// when Workers == 1, fanned out across min(Workers, N) goroutines when a
+	// Workers is the number of goroutines that drain datacenters within one
+	// window. 0 and 1 drain inline on the caller's goroutine; larger values
+	// fan a window's drains out across min(Workers, N) goroutines when the
 	// window carries enough events to pay for the handoff. Results are
-	// bit-identical across every Workers value, so this is purely a
-	// performance knob. The windowed driver assumes routing
-	// policies read DCState.Pending only for datacenters with CanServe —
-	// every built-in policy does — because datacenters no global flow can
-	// reach are drained ahead of the barrier.
+	// bit-identical across every value.
 	Workers int
 }
 
@@ -137,11 +132,6 @@ type ClusterSimulator struct {
 	canServe [][]bool
 	capacity []float64
 	states   []DCState
-
-	// dcIdx and arrIdx are the sequential driver's incremental argmin
-	// structures over times and next (see timeindex.go).
-	dcIdx  timeIndex
-	arrIdx timeIndex
 
 	res *Results
 	ran bool
@@ -242,7 +232,7 @@ func New(cfg Config) (*ClusterSimulator, error) {
 // from the flow's custom Source when one is set, otherwise from the Poisson
 // process at Rate on the flow's derived stream. Arrivals at or past the
 // horizon — and exhausted sources — come back as +Inf, which retires the
-// flow from the arrival index heaps.
+// flow.
 func (c *ClusterSimulator) nextArrival(i int, after, horizon float64) float64 {
 	g := &c.cfg.Global[i]
 	var next float64
@@ -277,9 +267,7 @@ func (c *ClusterSimulator) Run() (*Results, error) {
 }
 
 // RunContext is Run with cancellation (polled every
-// simulate.CtxCheckInterval events). Config.Workers selects the driver:
-// 0 runs the event-interleaved sequential loop, >= 1 the conservative-window
-// loop (see windowed.go); both produce bit-identical results.
+// simulate.CtxCheckInterval events per datacenter).
 func (c *ClusterSimulator) RunContext(ctx context.Context) (*Results, error) {
 	if c.ran {
 		return nil, errors.New("cluster: a ClusterSimulator runs once; construct a new one")
@@ -288,57 +276,10 @@ func (c *ClusterSimulator) RunContext(ctx context.Context) (*Results, error) {
 	for d, sim := range c.sims {
 		c.times[d] = sim.PeekNextEventTime()
 	}
-	var err error
-	if c.cfg.Workers >= 1 {
-		err = c.runWindowed(ctx, c.cfg.Workers)
-	} else {
-		err = c.runSequential(ctx)
-	}
-	if err != nil {
+	if err := c.runWindowed(ctx, c.cfg.Workers); err != nil {
 		return nil, err
 	}
 	return c.finalizeAll()
-}
-
-// runSequential advances the composition one event at a time: the globally
-// earliest pending occurrence — a datacenter event or a cluster-level
-// arrival — is processed next. Ties go to datacenter events: an arrival
-// injected at time t enters strictly after events already scheduled at t,
-// matching the simulator's FIFO seq order. The argmin over datacenters and
-// arrival streams comes from incrementally maintained index heaps, so one
-// step costs O(log N) instead of the O(N) rescan the loop used to pay.
-func (c *ClusterSimulator) runSequential(ctx context.Context) error {
-	c.dcIdx.init(c.times)
-	c.arrIdx.init(c.next)
-	done := ctx.Done()
-	check := simulate.CtxCheckInterval
-	for {
-		if done != nil {
-			check--
-			if check <= 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				check = simulate.CtxCheckInterval
-			}
-		}
-		minDC, minT := c.dcIdx.min()
-		minA, arrT := c.arrIdx.min()
-		if minDC < 0 && minA < 0 {
-			return nil
-		}
-		if minA >= 0 && arrT < minT {
-			if target := c.routeArrival(minA, arrT); target >= 0 {
-				c.dcIdx.update(target, c.times[target])
-			}
-			c.next[minA] = c.nextArrival(minA, arrT, c.res.Horizon)
-			c.arrIdx.update(minA, c.next[minA])
-			continue
-		}
-		c.sims[minDC].ProcessNextEvent()
-		c.times[minDC] = c.sims[minDC].PeekNextEventTime()
-		c.dcIdx.update(minDC, c.times[minDC])
-	}
 }
 
 // finalizeAll publishes every datacenter's measurements and the cluster-wide
@@ -365,11 +306,10 @@ func (c *ClusterSimulator) finalizeAll() (*Results, error) {
 }
 
 // routeArrival asks the policy to place one arrival of global request i at
-// time t and injects it into the chosen datacenter. It returns the index of
-// the datacenter that admitted the packet (its cached next-event time in
-// c.times has been refreshed — injections can pull it earlier), or -1 when
-// the arrival was rejected or truncated.
-func (c *ClusterSimulator) routeArrival(i int, t float64) int {
+// time t and injects it into the chosen datacenter, refreshing that
+// datacenter's cached next-event time in c.times (an injection can pull it
+// earlier). Rejected and truncated arrivals are only counted.
+func (c *ClusterSimulator) routeArrival(i int, t float64) {
 	g := &c.cfg.Global[i]
 	for d := range c.states {
 		c.states[d] = DCState{
@@ -384,7 +324,7 @@ func (c *ClusterSimulator) routeArrival(i int, t float64) int {
 	target := c.router.Route(g, c.states)
 	if target < 0 || target >= len(c.sims) || !c.canServe[i][target] {
 		c.res.Rejected++
-		return -1
+		return
 	}
 	at := t
 	if target != g.Home {
@@ -396,11 +336,11 @@ func (c *ClusterSimulator) routeArrival(i int, t float64) int {
 		// injection error would mean a policy bug — count it as a rejection
 		// rather than abort a long run.
 		c.res.Rejected++
-		return -1
+		return
 	}
 	if !ok {
 		c.res.Truncated++
-		return -1
+		return
 	}
 	c.res.RoutedByDC[target]++
 	if target != g.Home {
@@ -409,5 +349,4 @@ func (c *ClusterSimulator) routeArrival(i int, t float64) int {
 		c.res.RoutedLocal++
 	}
 	c.times[target] = c.sims[target].PeekNextEventTime()
-	return target
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"sort"
@@ -75,13 +76,45 @@ func fixtureSim(t *testing.T, seed uint64) simulate.Config {
 	return simulate.Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7}
 }
 
-// TestClusterSingleDCEquivalenceGolden pins the composition contract: one
-// datacenter, zero WAN latency and no global traffic must reproduce the
-// plain Simulator bit-for-bit — the same golden fingerprint the simulate
-// package pins for this config (TestSeedDeterminismGolden/plain).
-func TestClusterSingleDCEquivalenceGolden(t *testing.T) {
-	const plainGolden = 0x4af579b7b3270177
-	c, err := New(Config{Datacenters: []Datacenter{{Name: "solo", Sim: fixtureSim(t, 11)}}})
+// soloGolden is the plain-Simulator fingerprint the simulate package pins
+// for fixtureSim(t, 11) (TestSeedDeterminismGolden/plain).
+const soloGolden = 0x4af579b7b3270177
+
+// soloConfig is the one-datacenter, no-global-traffic cluster around
+// fixtureSim(t, 11).
+func soloConfig(t *testing.T, workers int) Config {
+	return Config{Datacenters: []Datacenter{{Name: "solo", Sim: fixtureSim(t, 11)}}, Workers: workers}
+}
+
+// checkSolo asserts an N=1 cluster result reproduces the plain Simulator:
+// the golden fingerprint, the direct run's aggregates and no routing.
+func checkSolo(t *testing.T, name string, res *Results) {
+	t.Helper()
+	direct, err := simulate.Run(fixtureSim(t, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Datacenters) != 1 {
+		t.Fatalf("%s: got %d datacenter results, want 1", name, len(res.Datacenters))
+	}
+	if got := fingerprint(res.Datacenters[0].Results); got != soloGolden {
+		t.Errorf("%s: N=1 cluster fingerprint = %#x, want plain-Simulator golden %#x", name, got, soloGolden)
+	}
+	if res.Generated != direct.Generated || res.Delivered != direct.Delivered ||
+		res.InFlight != direct.InFlight || res.Latency != direct.Latency {
+		t.Errorf("%s: cluster aggregates diverge from the direct run: %+v vs %+v", name, res, direct)
+	}
+	if res.WANHops != 0 || res.Rejected != 0 {
+		t.Errorf("%s: no-global run counted WANHops=%d Rejected=%d", name, res.WANHops, res.Rejected)
+	}
+}
+
+// runSolo runs soloConfig at the given worker count through the cluster
+// driver, checks it against the golden and asserts the simulator is
+// single-use.
+func runSolo(t *testing.T, workers int) {
+	t.Helper()
+	c, err := New(soloConfig(t, workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,25 +122,27 @@ func TestClusterSingleDCEquivalenceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Datacenters) != 1 {
-		t.Fatalf("got %d datacenter results, want 1", len(res.Datacenters))
-	}
-	if got := fingerprint(res.Datacenters[0].Results); got != plainGolden {
-		t.Errorf("N=1 cluster fingerprint = %#x, want plain-Simulator golden %#x", got, plainGolden)
-	}
-	direct, err := simulate.Run(fixtureSim(t, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Generated != direct.Generated || res.Delivered != direct.Delivered ||
-		res.InFlight != direct.InFlight || res.Latency != direct.Latency {
-		t.Errorf("cluster aggregates diverge from the direct run: %+v vs %+v", res, direct)
-	}
-	if res.WANHops != 0 || res.Rejected != 0 {
-		t.Errorf("no-global run counted WANHops=%d Rejected=%d", res.WANHops, res.Rejected)
-	}
+	checkSolo(t, fmt.Sprintf("workers=%d", workers), res)
 	if _, err := c.Run(); err == nil {
-		t.Error("second Run of a single-use ClusterSimulator succeeded")
+		t.Errorf("workers=%d: second Run of a single-use ClusterSimulator succeeded", workers)
+	}
+}
+
+// TestClusterSingleDCEquivalenceGolden pins the composition contract: one
+// datacenter, zero WAN latency and no global traffic must reproduce the
+// plain Simulator bit-for-bit, under the event-at-a-time oracle and under
+// the default inline drain (Workers 0).
+func TestClusterSingleDCEquivalenceGolden(t *testing.T) {
+	checkSolo(t, "oracle", runOracle(t, soloConfig(t, 0)))
+	runSolo(t, 0)
+}
+
+// TestClusterWindowedSingleDCGolden re-pins the N=1 golden at the explicit
+// worker counts: Workers 1 drains inline and Workers 2 drains through the
+// pool, and neither may move the fingerprint.
+func TestClusterWindowedSingleDCGolden(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		runSolo(t, workers)
 	}
 }
 
@@ -311,16 +346,28 @@ func TestClusterValidation(t *testing.T) {
 	}
 }
 
-// TestClusterContextCancel asserts a cancelled context aborts the run.
+// TestClusterContextCancel asserts a context cancelled before the run starts
+// fails it at every worker count, even on a horizon short enough to finish
+// before any drain polls for cancellation.
 func TestClusterContextCancel(t *testing.T) {
-	c, err := New(clusterFixture(t, 2, 0.1, nil, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.RunContext(ctx); err == nil {
-		t.Error("cancelled cluster run succeeded")
+	for _, workers := range []int{0, 1, 2} {
+		cfg := clusterFixture(t, 2, 0.1, nil, 20)
+		cfg.Workers = workers
+		for d := range cfg.Datacenters {
+			cfg.Datacenters[d].Sim.Horizon = 0.05
+			cfg.Datacenters[d].Sim.Warmup = 0
+		}
+		for run := 0; run < 20; run++ {
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.RunContext(ctx); err == nil {
+				t.Fatalf("workers=%d run %d: cancelled cluster run succeeded", workers, run)
+			}
+		}
 	}
 }
 

@@ -41,11 +41,11 @@ func faultsProblem(withGlobals bool) (*model.Problem, *model.Schedule, *model.Pl
 	return prob, sched, pl
 }
 
-// runFaultsDiff builds a fresh 4-datacenter cluster — per-datacenter outage
+// faultsFixture builds a fresh 4-datacenter cluster — per-datacenter outage
 // schedules, correlated preemption, and one autoscale+migrate controller per
-// region — and runs it under the given driver. Controllers are per-region and
-// rebuilt per run, so sequential and windowed executions start identical.
-func runFaultsDiff(t *testing.T, workers int) *Results {
+// region — at the given worker count. Controllers are per-region and rebuilt
+// per call, so the oracle and every driver run start identical.
+func faultsFixture(t *testing.T, workers int) Config {
 	t.Helper()
 	cfg := Config{WANLatency: 0.005, Router: LeastLoaded{}, Seed: 9, Workers: workers}
 	for d := 0; d < 4; d++ {
@@ -83,53 +83,29 @@ func runFaultsDiff(t *testing.T, workers int) *Results {
 		{ID: "g0", Rate: 40, Home: 0},
 		{ID: "g1", Rate: 25, Home: 1},
 	}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return cfg
 }
 
 // TestClusterParallelFaultsDifferential extends the driver differential to
 // the full online control plane: under per-datacenter outages, correlated
 // preemption and per-region autoscale+migrate controllers, the windowed
 // driver — inline and pooled — must produce bit-identical per-datacenter
-// fingerprints and aggregates to the sequential driver. Run under -race in
-// CI, this also proves region-confined controllers share no mutable state.
+// fingerprints and aggregates to the event-at-a-time oracle. Run under -race
+// in CI, this also proves region-confined controllers share no mutable
+// state.
 func TestClusterParallelFaultsDifferential(t *testing.T) {
 	forcePool(t)
-	base := runFaultsDiff(t, 0)
-	var downtime, shed int
-	for d := range base.Datacenters {
-		res := base.Datacenters[d].Results
-		downtime += len(res.Downtime)
-		shed += res.Shed
+	want := runOracle(t, faultsFixture(t, 0))
+	downtime := 0
+	for d := range want.Datacenters {
+		downtime += len(want.Datacenters[d].Results.Downtime)
 	}
 	if downtime == 0 {
 		t.Fatal("no datacenter recorded downtime; fault scenario is vacuous")
 	}
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{0, 1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got := runFaultsDiff(t, workers)
-			for d := range base.Datacenters {
-				fb := fingerprint(base.Datacenters[d].Results)
-				fg := fingerprint(got.Datacenters[d].Results)
-				if fb != fg {
-					t.Errorf("datacenter %d fingerprint = %#x, want sequential %#x", d, fg, fb)
-				}
-				if got.Datacenters[d].Results.Shed != base.Datacenters[d].Results.Shed {
-					t.Errorf("datacenter %d shed = %d, want %d", d,
-						got.Datacenters[d].Results.Shed, base.Datacenters[d].Results.Shed)
-				}
-			}
-			if got.Generated != base.Generated || got.Delivered != base.Delivered ||
-				got.WANHops != base.WANHops || got.RoutedLocal != base.RoutedLocal {
-				t.Errorf("aggregates diverged:\n got %+v\nwant %+v", got, base)
-			}
+			sameResults(t, runCluster(t, faultsFixture(t, workers)), want)
 		})
 	}
 }

@@ -78,88 +78,37 @@ func diffFixture(wan float64, router Router, workers int, horizon float64) (Conf
 	return cfg, nil
 }
 
-// runDiff executes one fixture and returns its Results.
-func runDiff(t *testing.T, wan float64, router Router, workers int) *Results {
-	t.Helper()
-	cfg, err := diffFixture(wan, router, workers, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// TestClusterParallelDifferential pins the tentpole contract: the windowed
-// driver — inline, small pool, and machine-sized pool — produces bit-identical
-// per-datacenter fingerprints and routing counters to the sequential driver,
-// across every built-in router and with and without WAN latency.
+// TestClusterParallelDifferential pins the driver contract: the windowed
+// driver — inline at Workers 0 and 1, a small pool, and a machine-sized pool
+// — produces bit-identical per-datacenter fingerprints and routing counters
+// to the event-at-a-time oracle, across every built-in router and with and
+// without WAN latency.
 func TestClusterParallelDifferential(t *testing.T) {
 	forcePool(t)
-	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
+	workerCounts := []int{0, 1, 4, runtime.GOMAXPROCS(0)}
 	for _, router := range []Router{LocalityFirst{}, LeastLoaded{}, Weighted{}} {
 		for _, wan := range []float64{0, 0.005} {
-			base := runDiff(t, wan, router, 0)
-			if base.RoutedLocal+base.WANHops == 0 {
-				t.Fatalf("%s/wan=%v: baseline routed no global packets", router.Name(), wan)
+			cfg, err := diffFixture(wan, router, 0, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := runOracle(t, cfg)
+			if want.RoutedLocal+want.WANHops == 0 {
+				t.Fatalf("%s/wan=%v: oracle routed no global packets", router.Name(), wan)
 			}
 			for _, workers := range workerCounts {
 				name := fmt.Sprintf("%s/wan=%v/workers=%d", router.Name(), wan, workers)
 				t.Run(name, func(t *testing.T) {
-					got := runDiff(t, wan, router, workers)
-					for d := range base.Datacenters {
-						fb := fingerprint(base.Datacenters[d].Results)
-						fg := fingerprint(got.Datacenters[d].Results)
-						if fb != fg {
-							t.Errorf("datacenter %d fingerprint = %#x, want sequential %#x", d, fg, fb)
-						}
-					}
-					if got.Generated != base.Generated || got.Delivered != base.Delivered ||
-						got.WANHops != base.WANHops || got.RoutedLocal != base.RoutedLocal ||
-						got.Rejected != base.Rejected || got.Truncated != base.Truncated {
-						t.Errorf("aggregates diverged:\n got %+v\nwant %+v", got, base)
-					}
-					for d := range base.RoutedByDC {
-						if got.RoutedByDC[d] != base.RoutedByDC[d] {
-							t.Errorf("RoutedByDC[%d] = %d, want %d", d, got.RoutedByDC[d], base.RoutedByDC[d])
-						}
-					}
+					cfg := cfg
+					cfg.Workers = workers
+					sameResults(t, runCluster(t, cfg), want)
 				})
 			}
 		}
 	}
 }
 
-// TestClusterWindowedSingleDCGolden re-pins the N=1 plain-Simulator
-// equivalence golden under the windowed driver: the tentpole must not move
-// the composition's bit-exact fingerprint.
-func TestClusterWindowedSingleDCGolden(t *testing.T) {
-	const plainGolden = 0x4af579b7b3270177
-	for _, workers := range []int{1, 2} {
-		c, err := New(Config{
-			Datacenters: []Datacenter{{Name: "solo", Sim: fixtureSim(t, 11)}},
-			Workers:     workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := c.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fingerprint(res.Datacenters[0].Results); got != plainGolden {
-			t.Errorf("workers=%d: N=1 fingerprint = %#x, want %#x", workers, got, plainGolden)
-		}
-	}
-}
-
-// TestClusterParallelCancellation asserts the windowed driver aborts promptly
+// TestClusterParallelCancellation asserts the cluster driver aborts promptly
 // when the context is cancelled mid-window: the long-horizon fixture would
 // take far longer to drain than the allowed deadline, and the chunked drains
 // poll the shared stop flag between batches.
@@ -181,7 +130,7 @@ func TestClusterParallelCancellation(t *testing.T) {
 	_, err = c.RunContext(ctx)
 	elapsed := time.Since(start)
 	if err == nil {
-		t.Fatal("cancelled windowed run succeeded")
+		t.Fatal("cancelled cluster run succeeded")
 	}
 	if elapsed > 5*time.Second {
 		t.Errorf("cancellation took %v, want prompt abort", elapsed)

@@ -20,7 +20,10 @@ type DCState struct {
 	// such datacenters are valid routing targets.
 	CanServe bool
 	// Pending is the datacenter's live packet population (admitted, not yet
-	// delivered or lost) at the moment of the decision.
+	// delivered or lost) at the moment of the decision. It is exact only
+	// when CanServe is set: datacenters no global flow can reach are drained
+	// ahead of the routing barrier, so a router must not read Pending for a
+	// datacenter it cannot route to.
 	Pending int
 	// Routed counts global packets this policy has already sent to the
 	// datacenter during this run.
@@ -34,7 +37,9 @@ type DCState struct {
 // picks the datacenter index to serve one arrival of req, or -1 to reject
 // it. Implementations must be deterministic — the ClusterSimulator's
 // reproducibility guarantee extends only to policies that decide purely
-// from their inputs (and their own deterministic state).
+// from their inputs (and their own deterministic state) — and must read
+// DCState.Pending only for CanServe datacenters, as every built-in policy
+// does (see DCState.Pending).
 type Router interface {
 	Name() string
 	Route(req *GlobalRequest, dcs []DCState) int
@@ -43,7 +48,7 @@ type Router interface {
 // LoadOblivious is an optional Router refinement: a policy whose
 // LoadOblivious method returns true promises its decisions never read the
 // live DCState.Pending field (only static fields and its own counters). The
-// conservative-window driver uses this to extend per-datacenter lookahead —
+// cluster driver uses this to extend per-datacenter lookahead —
 // when routing can't observe live load, non-target datacenters may drain
 // past the routing barrier by the WAN entry latency without changing any
 // decision. Routers that don't implement the interface are treated as

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"nfvchain/internal/rng"
@@ -9,38 +10,24 @@ import (
 
 // TestClusterSourceMatchesRate pins the GlobalRequest.Source seam: a custom
 // Poisson source on the same derived stream the driver would use for Rate
-// must reproduce the Rate-driven run bit for bit, under both the sequential
-// and the windowed driver.
+// must reproduce the Rate-driven oracle run bit for bit, under the cluster
+// driver at every worker count.
 func TestClusterSourceMatchesRate(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		run := func(useSource bool) *Results {
-			cfg := clusterFixture(t, 3, 0.25, LeastLoaded{}, 30)
-			cfg.Workers = workers
-			if useSource {
-				g := &cfg.Global[0]
-				g.Source = workload.NewPoisson(g.Rate, rng.Derive(cfg.Seed, "cluster/arrivals/"+string(g.ID)))
-				g.Rate = 0 // Rate must be ignored (and not validated) with a Source
-			}
-			c, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := c.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
+	fixture := func(workers int, useSource bool) Config {
+		cfg := clusterFixture(t, 3, 0.25, LeastLoaded{}, 30)
+		cfg.Workers = workers
+		if useSource {
+			g := &cfg.Global[0]
+			g.Source = workload.NewPoisson(g.Rate, rng.Derive(cfg.Seed, "cluster/arrivals/"+string(g.ID)))
+			g.Rate = 0 // Rate must be ignored (and not validated) with a Source
 		}
-		a, b := run(false), run(true)
-		for d := range a.Datacenters {
-			if fa, fb := fingerprint(a.Datacenters[d].Results), fingerprint(b.Datacenters[d].Results); fa != fb {
-				t.Errorf("workers=%d: datacenter %d diverged between Rate and Source runs: %#x vs %#x",
-					workers, d, fa, fb)
-			}
-		}
-		if a.WANHops != b.WANHops || a.RoutedLocal != b.RoutedLocal || a.Generated != b.Generated {
-			t.Errorf("workers=%d: routing diverged between Rate and Source runs", workers)
-		}
+		return cfg
+	}
+	want := runOracle(t, fixture(0, false))
+	for _, workers := range []int{0, 1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			sameResults(t, runCluster(t, fixture(workers, true)), want)
+		})
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // drainChunk bounds how many events a datacenter drains between cancellation
-// checks, mirroring the sequential driver's polling cadence.
+// checks, mirroring the single simulator's polling cadence.
 const drainChunk = simulate.CtxCheckInterval
 
 // parallelMinWindowEvents is the smoothed per-window event count below which
@@ -26,12 +26,12 @@ var parallelMinWindowEvents = 1024
 //
 //   - The barrier is the earliest pending global arrival time arrT. Each
 //     datacenter a global flow can reach drains inclusively to the barrier —
-//     exactly the events the sequential driver would process before routing
-//     that arrival (ties at arrT go to datacenter events there too).
+//     exactly the events an event-at-a-time interleaving would process
+//     before routing that arrival (ties at arrT go to datacenter events).
 //   - Datacenters no global flow can reach are invisible to every routing
-//     decision (built-in policies only read DCState.Pending for CanServe
-//     datacenters — the documented Config.Workers contract), so they drain
-//     straight to the horizon in the first window.
+//     decision (a Router reads DCState.Pending only for CanServe
+//     datacenters — the documented Router contract), so they drain straight
+//     to the horizon in the first window.
 //   - When the router is LoadOblivious its decisions never read live load, so
 //     a serving datacenter may drain past the barrier up to the earliest time
 //     a future arrival could enter it: next[i] for flows homed there, and
@@ -43,13 +43,18 @@ var parallelMinWindowEvents = 1024
 // active) goroutines; distinct datacenters share no mutable state, so the
 // only coordination is an atomic work cursor. Routing and injection always
 // happen on the caller's goroutine at the deterministic barrier, so results
-// are bit-identical to the sequential driver.
+// are bit-identical for every worker count. workers <= 1 drains inline.
 func (c *ClusterSimulator) runWindowed(ctx context.Context, workers int) error {
 	n := len(c.sims)
 	if workers > n {
 		workers = n
 	}
 
+	// An inline drain never yields, so a short run could finish before the
+	// watcher below observes a context that was cancelled up front.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	// A context watcher translates cancellation into a flag the drain loops
 	// can poll without channel operations on the hot path.
 	var stop atomic.Bool

@@ -123,10 +123,9 @@ type ClusterSimConfig struct {
 	Router cluster.Router
 	// Seed drives the cluster-level global arrival streams.
 	Seed uint64
-	// Workers selects the cluster execution driver (see cluster.Config): 0
-	// runs the event-interleaved sequential loop, >= 1 the conservative-
-	// window loop, draining datacenters between routing barriers in parallel
-	// when Workers > 1. Results are bit-identical across all values.
+	// Workers is the number of goroutines that drain datacenters between
+	// routing barriers (see cluster.Config): 0 and 1 drain inline, larger
+	// values in parallel. Results are bit-identical across all values.
 	Workers int
 	// FaultPlans optionally injects per-datacenter fault plans: entry d
 	// overrides Sim.FaultPlan for region d, so each datacenter can face its
@@ -135,8 +134,8 @@ type ClusterSimConfig struct {
 	FaultPlans []*simulate.FaultPlan
 	// FaultHooks optionally attaches one repair/control hook per datacenter
 	// (entry d overrides Sim.FaultHook for region d). Hooks must not be
-	// shared across regions: under the parallel windowed driver each region
-	// runs on its own goroutine, so give every datacenter its own controller.
+	// shared across regions: with Workers > 1 regions drain on separate
+	// goroutines, so give every datacenter its own controller.
 	// Length must be zero or match the region count.
 	FaultHooks []simulate.FaultHook
 }

@@ -27,7 +27,7 @@ func clusterSolution(t *testing.T) *ClusterSolution {
 // TestClusterPerDatacenterFaultPlans pins the per-region fault plumbing: a
 // plan attached to region 0 only must produce downtime there and nowhere
 // else, with a per-region repair hook observing exactly its own region's
-// transitions — identically across the sequential and windowed drivers.
+// transitions — and none of it may depend on the worker count.
 func TestClusterPerDatacenterFaultPlans(t *testing.T) {
 	cs := clusterSolution(t)
 	node := cs.Regions[0].Problem.Nodes[0].ID
@@ -65,11 +65,11 @@ func TestClusterPerDatacenterFaultPlans(t *testing.T) {
 	if stats.NodeFailures != 1 || stats.NodeRecoveries != 1 {
 		t.Errorf("hook saw %+v, want exactly region 0's one outage", stats)
 	}
-	// The windowed driver must agree bit-for-bit.
+	// Draining on two goroutines must agree bit-for-bit.
 	w0, w1, wstats := run(2)
 	if w0.Delivered != r0.Delivered || w0.FailureDrops != r0.FailureDrops ||
 		w1.Delivered != r1.Delivered || wstats != stats {
-		t.Errorf("windowed driver diverged under per-region faults: %d/%d/%d vs %d/%d/%d",
+		t.Errorf("workers=2 diverged under per-region faults: %d/%d/%d vs %d/%d/%d",
 			w0.Delivered, w0.FailureDrops, w1.Delivered, r0.Delivered, r0.FailureDrops, r1.Delivered)
 	}
 }

@@ -79,10 +79,6 @@ func Cluster(cfg Config) (*Table, error) {
 					WANLatency: wanLatency,
 					Router:     pol,
 					Seed:       seed,
-					// The windowed driver is bit-identical to sequential and
-					// cheaper per event; the figure's numbers do not depend
-					// on this knob.
-					Workers: 1,
 				})
 				if err != nil {
 					return out, fmt.Errorf("cluster: %s: %w", pol.Name(), err)

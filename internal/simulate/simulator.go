@@ -814,8 +814,8 @@ func (sim *Simulator) HasPendingEvents() bool {
 
 // PeekNextEventTime returns the simulated time of the next pending event
 // without processing it, or +Inf when nothing remains at or before the
-// horizon. This is what a ClusterSimulator compares across datacenters to
-// advance the composition in global-time order.
+// horizon. A ClusterSimulator reads it to tell which datacenters have
+// events to drain before the next routing barrier.
 func (sim *Simulator) PeekNextEventTime() float64 {
 	if !sim.ready {
 		return math.Inf(1)
