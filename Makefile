@@ -34,9 +34,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Quick micro-benchmarks of the two hot paths (DES event loop, RCKK merge).
+# Quick micro-benchmarks of the two hot paths (DES event loop, RCKK merge):
+# the registry scenarios results/BENCH.json records, under the test driver.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkSimulator|BenchmarkScheduleRCKK' -benchmem .
+	$(GO) test -run xxx -bench 'Scenarios/(Simulator|RCKK)/' -benchmem .
 
 # Regenerate the committed performance trajectory (ns/op, allocs/op per
 # scenario). Compare against the previous results/BENCH.json before merging
@@ -49,12 +50,13 @@ bench-json:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# Profile the hottest scenario and print the top CPU consumers. Leaves
-# cpu.prof/mem.prof behind for `go tool pprof -http` flame graphs; see the
-# profiling workflow in EXPERIMENTS.md.
+# Profile the large-horizon scenarios (fresh and reused Simulator) and print
+# the top CPU consumers. Leaves cpu.prof/mem.prof (and the nfvchain.test
+# binary pprof symbolizes from) behind for `go tool pprof -http` flame graphs;
+# see the profiling workflow in EXPERIMENTS.md.
 profile:
-	$(GO) run ./cmd/nfvbench -run Simulator/large-horizon -out /dev/null \
-		-cpuprofile cpu.prof -memprofile mem.prof
+	$(GO) test -run xxx -bench 'Scenarios/Simulator/large-horizon' \
+		-cpuprofile cpu.prof -memprofile mem.prof .
 	$(GO) tool pprof -top -nodecount 15 cpu.prof
 
 clean:

@@ -1,9 +1,10 @@
-// Package profiling wires the standard pprof file profiles into the
-// repository's commands (-cpuprofile / -memprofile / -mutexprofile /
-// -blockprofile on nfvsim and nfvbench), so optimization PRs can demonstrate
-// their wins with before/after flame graphs next to the BENCH.json
-// trajectory (see EXPERIMENTS.md). Mutex and block profiles exist for
-// contention debugging of the parallel cluster driver's worker pool.
+// Package profiling wires the standard pprof file profiles into nfvsim
+// (-cpuprofile / -memprofile / -mutexprofile / -blockprofile), so any
+// experiment can be profiled for before/after flame graphs (see
+// EXPERIMENTS.md). The benchmark scenarios behind the BENCH.json trajectory
+// need no wiring: `go test -bench Scenarios/<name>` has the same four flags.
+// Mutex and block profiles exist for contention debugging of the parallel
+// cluster driver's worker pool.
 package profiling
 
 import (
