@@ -417,7 +417,6 @@ func applyWorkload(simCfg *nfvchain.SimulationConfig, wl workloadOptions, sol *n
 			return noop, err
 		}
 		simCfg.TraceStream = ts
-		simCfg.ExpectedArrivals = arrivals
 		return func() { _ = f2.Close() }, nil
 	}
 	return noop, nil
@@ -533,8 +532,8 @@ func runClusterDemo(seed uint64, vnfs, requests, nodes int, simulate bool, algs 
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(rep, "simulated cluster: %d packets delivered, %d retransmitted, mean latency %.6fs, availability %.4f\n",
-		res.Delivered, res.Retransmissions, res.Latency.Mean(), res.Availability)
+	fmt.Fprintf(rep, "simulated cluster: %d packets delivered, %d retransmitted, mean latency %.6fs, %s, availability %.4f\n",
+		res.Delivered, res.Retransmissions, res.Latency.Mean(), latencyTail(&res.LatencySketch), res.Availability)
 	fmt.Fprintf(rep, "routing (%s): %d global arrivals served locally, %d WAN hops, %d rejected, %d truncated at horizon\n",
 		res.Router, res.RoutedLocal, res.WANHops, res.Rejected, res.Truncated)
 	for d, n := range res.RoutedByDC {
@@ -795,15 +794,8 @@ func solveAndReport(p *model.Problem, seed uint64, simulate bool, solOut string,
 		// the nfvd daemon serves (simulate.WriteJSON), nothing else.
 		return res.WriteJSON(out.stdout)
 	}
-	// No packet may complete inside [warmup, horizon] (short horizon, long
-	// warmup, or total buffer loss) — report "n/a" instead of panicking. One
-	// PercentilesOK call sorts the sample set once for all three quantiles.
-	tail := "p50/p95/p99 n/a"
-	if qs, ok := stats.PercentilesOK(res.LatencySamples, 50, 95, 99); ok {
-		tail = fmt.Sprintf("p50 %.6fs, p95 %.6fs, p99 %.6fs", qs[0], qs[1], qs[2])
-	}
 	fmt.Fprintf(rep, "simulated: %d packets delivered, %d retransmitted, mean latency %.6fs, %s\n",
-		res.Delivered, res.Retransmissions, res.Latency.Mean(), tail)
+		res.Delivered, res.Retransmissions, res.Latency.Mean(), latencyTail(&res.LatencySketch))
 	if faults.mtbf > 0 || ctrl.preempt != nil {
 		var downtime float64
 		for _, dt := range res.Downtime {
@@ -823,4 +815,15 @@ func solveAndReport(p *model.Problem, seed uint64, simulate bool, solOut string,
 			ctrl.policy, st.Ticks, st.ScaleUps, st.ScaleDowns, st.Migrations, st.Evacuations, res.Shed, st.NodeSeconds)
 	}
 	return nil
+}
+
+// latencyTail formats the sketch's p50/p95/p99, labelled with the sketch's
+// relative accuracy (±1%), or "n/a" when no packet completed inside
+// [warmup, horizon] (short horizon, long warmup, or total buffer loss).
+func latencyTail(sk *stats.Sketch) string {
+	qs, ok := sk.Quantiles(0.50, 0.95, 0.99)
+	if !ok {
+		return "p50/p95/p99 n/a"
+	}
+	return fmt.Sprintf("p50 %.6fs, p95 %.6fs, p99 %.6fs (±%g%%)", qs[0], qs[1], qs[2], stats.SketchAlpha*100)
 }

@@ -60,11 +60,11 @@
 // arrival cursor (NewTraceStream over a CSV, Trace.Cursor over an in-memory
 // Trace, or NewMergedStream superposing per-request sources). TraceStream is
 // the only way recorded arrivals enter a run. The engine stages one arrival
-// event per live cursor and re-pulls after each dispatch, so
-// multi-million-arrival replays run in O(#requests) long-lived memory;
-// ExpectedArrivals pre-sizes the latency-sample buffer, and AnalyzeArrivals
-// computes per-flow rate, burstiness and a Poisson KS test from any cursor
-// in one pass. Replaying a CSV and replaying the Trace it was written from
+// event per live cursor and re-pulls after each dispatch, and latency
+// quantiles live in a fixed-size sketch (exact samples only with
+// KeepSamples), so multi-million-arrival replays run in O(#requests)
+// long-lived memory. AnalyzeArrivals computes per-flow rate, burstiness and
+// a Poisson KS test from any cursor in one pass. Replaying a CSV and replaying the Trace it was written from
 // are bit-identical, and explicit Poisson sources on the canonical streams
 // are bit-identical to the built-in tier (also for cluster global flows via
 // GlobalRequest sources).

@@ -95,8 +95,11 @@ type Results struct {
 	InFlight        int
 	// Latency merges every datacenter's delivered-latency summary; WAN
 	// entry hops are included (the packet's birth predates its arrival).
-	Latency      stats.Summary
-	Availability float64
+	Latency stats.Summary
+	// LatencySketch merges every datacenter's latency sketch, the source of
+	// cluster-wide quantiles (within stats.SketchAlpha).
+	LatencySketch stats.Sketch
+	Availability  float64
 
 	// WANHops counts global packets that paid the WAN entry hop (served
 	// away from home); RoutedLocal counts those served at home.
@@ -297,6 +300,7 @@ func (c *ClusterSimulator) finalizeAll() (*Results, error) {
 		c.res.Dropped += res.Dropped
 		c.res.InFlight += res.InFlight
 		c.res.Latency.Merge(&res.Latency)
+		c.res.LatencySketch.Merge(&res.LatencySketch)
 	}
 	c.res.Availability = 1
 	if c.res.Generated > 0 {

@@ -76,6 +76,7 @@ func faultsFixture(t *testing.T, workers int) Config {
 				FaultHook:       ctrl,
 				Control:         ctrl,
 				ControlInterval: 0.5,
+				KeepSamples:     true,
 			},
 		})
 	}

@@ -67,8 +67,8 @@ func runCluster(t *testing.T, cfg Config) *Results {
 }
 
 // sameResults reports every way got differs from the oracle's want: each
-// datacenter's fingerprint and shed count, the cluster-wide counters and the
-// per-datacenter routing counts.
+// datacenter's fingerprint and shed count, the cluster-wide counters and
+// latency sketch, and the per-datacenter routing counts.
 func sameResults(t *testing.T, got, want *Results) {
 	t.Helper()
 	for d := range want.Datacenters {
@@ -84,7 +84,13 @@ func sameResults(t *testing.T, got, want *Results) {
 	if got.Generated != want.Generated || got.Delivered != want.Delivered ||
 		got.WANHops != want.WANHops || got.RoutedLocal != want.RoutedLocal ||
 		got.Rejected != want.Rejected || got.Truncated != want.Truncated {
-		t.Errorf("aggregates diverged:\n got %+v\nwant %+v", got, want)
+		t.Errorf("aggregates diverged: got generated %d delivered %d WAN %d local %d rejected %d truncated %d, "+
+			"want %d %d %d %d %d %d", got.Generated, got.Delivered, got.WANHops, got.RoutedLocal, got.Rejected, got.Truncated,
+			want.Generated, want.Delivered, want.WANHops, want.RoutedLocal, want.Rejected, want.Truncated)
+	}
+	if got.LatencySketch != want.LatencySketch || got.LatencySketch.Count() != got.Latency.N() {
+		t.Errorf("cluster latency sketch diverged: %d of %d latencies, oracle %d",
+			got.LatencySketch.Count(), got.Latency.N(), want.LatencySketch.Count())
 	}
 	for d := range want.RoutedByDC {
 		if got.RoutedByDC[d] != want.RoutedByDC[d] {

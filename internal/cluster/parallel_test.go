@@ -68,6 +68,7 @@ func diffFixture(wan float64, router Router, workers int, horizon float64) (Conf
 			Sim: simulate.Config{
 				Problem: prob, Schedule: sched,
 				Horizon: horizon, Warmup: 1, Seed: uint64(50 + d),
+				KeepSamples: true,
 			},
 		})
 	}

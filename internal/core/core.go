@@ -111,10 +111,10 @@ type SimulationConfig struct {
 	// absent requests keep the flat-Poisson default. Mutually exclusive
 	// with TraceStream.
 	Sources map[model.RequestID]simulate.ArrivalSource
-	// ExpectedArrivals hints the total arrival count (latency-sample
-	// pre-allocation; pass Trace.Len() when replaying an in-memory trace);
-	// 0 falls back to the offered-rate estimate.
-	ExpectedArrivals int
+	// KeepSamples also records every post-warmup latency in
+	// Results.LatencySamples (O(delivered) memory); by default only the
+	// fixed-size Results.LatencySketch carries the latency quantiles.
+	KeepSamples bool
 	// ServiceDist selects the service-time distribution (zero value =
 	// exponential, the paper's assumption).
 	ServiceDist simulate.ServiceDist
@@ -167,24 +167,24 @@ func SimulateWith(ctx context.Context, sim *simulate.Simulator, sol *Solution, c
 // config.
 func simConfig(sol *Solution, cfg SimulationConfig) simulate.Config {
 	return simulate.Config{
-		Problem:          sol.Problem,
-		Schedule:         sol.Schedule,
-		Placement:        sol.Placement,
-		LinkDelay:        sol.LinkDelay,
-		Horizon:          cfg.Horizon,
-		Warmup:           cfg.Warmup,
-		BufferSize:       cfg.BufferSize,
-		DropPolicy:       cfg.DropPolicy,
-		RetransmitDelay:  cfg.RetransmitDelay,
-		TraceStream:      cfg.TraceStream,
-		Sources:          cfg.Sources,
-		ExpectedArrivals: cfg.ExpectedArrivals,
-		ServiceDist:      cfg.ServiceDist,
-		Seed:             cfg.Seed,
-		FaultPlan:        cfg.FaultPlan,
-		FailurePolicy:    cfg.FailurePolicy,
-		FaultHook:        cfg.FaultHook,
-		Control:          cfg.Control,
-		ControlInterval:  cfg.ControlInterval,
+		Problem:         sol.Problem,
+		Schedule:        sol.Schedule,
+		Placement:       sol.Placement,
+		LinkDelay:       sol.LinkDelay,
+		Horizon:         cfg.Horizon,
+		Warmup:          cfg.Warmup,
+		BufferSize:      cfg.BufferSize,
+		DropPolicy:      cfg.DropPolicy,
+		RetransmitDelay: cfg.RetransmitDelay,
+		TraceStream:     cfg.TraceStream,
+		Sources:         cfg.Sources,
+		KeepSamples:     cfg.KeepSamples,
+		ServiceDist:     cfg.ServiceDist,
+		Seed:            cfg.Seed,
+		FaultPlan:       cfg.FaultPlan,
+		FailurePolicy:   cfg.FailurePolicy,
+		FaultHook:       cfg.FaultHook,
+		Control:         cfg.Control,
+		ControlInterval: cfg.ControlInterval,
 	}
 }

@@ -108,6 +108,8 @@ func Availability(cfg Config) (*Table, error) {
 					Seed:      seed,
 					FaultPlan: plan,
 					FaultHook: ctrl,
+					// The p99 column is the exact interpolated percentile.
+					KeepSamples: true,
 				}); err != nil {
 					return out, fmt.Errorf("availability: %w", err)
 				}

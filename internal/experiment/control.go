@@ -112,6 +112,8 @@ func Control(cfg Config) (*Table, error) {
 					// rather than as silently purged queues.
 					FailurePolicy:   simulate.FailRetransmit,
 					RetransmitDelay: 0.05,
+					// The p99 column is the exact interpolated percentile.
+					KeepSamples: true,
 				}
 				var ctrl *control.Controller
 				if policy != control.PolicyNone {

@@ -20,11 +20,16 @@
 // Jobs are content-addressed: the SHA-256 fingerprint of the canonical
 // (endpoint, problem, options, sim-config) JSON keys a result cache, so an
 // identical submission returns a completed job instantly. A full queue
-// answers 429 with a Retry-After header — backpressure instead of unbounded
-// memory growth. Results are deterministic: a served job is bit-identical
-// to the corresponding direct library call under the same seed. Anytime
-// portfolio jobs are the one exception — a deadline-bounded race is
-// wall-clock dependent, so they bypass the result cache.
+// answers 429 with a Retry-After header. That bounds the queue (QueueDepth
+// jobs); the result cache is bounded at CacheEntries results (256 by
+// default), and the 200-request demo's simulate result is about 60 KB,
+// since latencies travel as a fixed-size sketch rather than per-packet
+// samples (about 13 MB). Not bounded: every finished job stays in the job
+// table, result bytes included, for the life of the process. Results are
+// deterministic: a served job is bit-identical to the corresponding direct
+// library call under the same seed. Anytime portfolio jobs are the one
+// exception — a deadline-bounded race is wall-clock dependent, so they
+// bypass the result cache.
 package service
 
 import (

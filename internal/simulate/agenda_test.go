@@ -263,9 +263,9 @@ func TestAgendaGoldenInvariance(t *testing.T) {
 		cfg  Config
 		want uint64
 	}{
-		{"plain", Config{Horizon: 20, Warmup: 2, Seed: 7}, 0x4af579b7b3270177},
-		{"buffered", Config{Horizon: 20, Warmup: 2, Seed: 7, BufferSize: 2}, 0x7c13b08e2cdb0988},
-		{"lognormal", Config{Horizon: 15, Warmup: 1, Seed: 3, ServiceDist: ServiceLogNormal}, 0xb81fe93896fa901a},
+		{"plain", Config{Horizon: 20, Warmup: 2, Seed: 7, KeepSamples: true}, 0x4af579b7b3270177},
+		{"buffered", Config{Horizon: 20, Warmup: 2, Seed: 7, BufferSize: 2, KeepSamples: true}, 0x7c13b08e2cdb0988},
+		{"lognormal", Config{Horizon: 15, Warmup: 1, Seed: 3, ServiceDist: ServiceLogNormal, KeepSamples: true}, 0xb81fe93896fa901a},
 	}
 	var sim Simulator
 	step := func(cfg Config) (*Results, error) {

@@ -32,7 +32,7 @@ func defaultWorkloadRunWith(t *testing.T, cfg Config, run func(Config) (*Results
 // TestRunContextBackgroundIdentical asserts the ctx-polling loop leaves the
 // event stream untouched: a background-context run is bit-identical to Run.
 func TestRunContextBackgroundIdentical(t *testing.T) {
-	cfg := Config{Horizon: 20, Warmup: 2, Seed: 7, BufferSize: 2}
+	cfg := Config{Horizon: 20, Warmup: 2, Seed: 7, BufferSize: 2, KeepSamples: true}
 	direct := defaultWorkloadRun(t, cfg)
 	want := fingerprintResults(direct)
 	ctxRes, err := defaultWorkloadRunWith(t, cfg, func(c Config) (*Results, error) {

@@ -91,17 +91,17 @@ func TestSeedDeterminismGolden(t *testing.T) {
 	}{
 		{
 			name: "plain",
-			cfg:  Config{Horizon: 20, Warmup: 2, Seed: 7},
+			cfg:  Config{Horizon: 20, Warmup: 2, Seed: 7, KeepSamples: true},
 			want: 0x4af579b7b3270177,
 		},
 		{
 			name: "buffered",
-			cfg:  Config{Horizon: 20, Warmup: 2, Seed: 7, BufferSize: 2},
+			cfg:  Config{Horizon: 20, Warmup: 2, Seed: 7, BufferSize: 2, KeepSamples: true},
 			want: 0x7c13b08e2cdb0988,
 		},
 		{
 			name: "lognormal",
-			cfg:  Config{Horizon: 15, Warmup: 1, Seed: 3, ServiceDist: ServiceLogNormal},
+			cfg:  Config{Horizon: 15, Warmup: 1, Seed: 3, ServiceDist: ServiceLogNormal, KeepSamples: true},
 			want: 0xb81fe93896fa901a,
 		},
 	}
@@ -119,7 +119,7 @@ func TestSeedDeterminismGolden(t *testing.T) {
 // TestRunTwiceIdentical asserts two runs with identical configs produce
 // bit-identical results — object pooling must not leak state across runs.
 func TestRunTwiceIdentical(t *testing.T) {
-	cfg := Config{Horizon: 25, Warmup: 3, Seed: 13, BufferSize: 3}
+	cfg := Config{Horizon: 25, Warmup: 3, Seed: 13, BufferSize: 3, KeepSamples: true}
 	a := defaultWorkloadRun(t, cfg)
 	b := defaultWorkloadRun(t, cfg)
 	if fa, fb := fingerprintResults(a), fingerprintResults(b); fa != fb {
@@ -143,9 +143,9 @@ func TestGoldenPrint(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"plain", Config{Horizon: 20, Warmup: 2, Seed: 7}},
-		{"buffered", Config{Horizon: 20, Warmup: 2, Seed: 7, BufferSize: 2}},
-		{"lognormal", Config{Horizon: 15, Warmup: 1, Seed: 3, ServiceDist: ServiceLogNormal}},
+		{"plain", Config{Horizon: 20, Warmup: 2, Seed: 7, KeepSamples: true}},
+		{"buffered", Config{Horizon: 20, Warmup: 2, Seed: 7, BufferSize: 2, KeepSamples: true}},
+		{"lognormal", Config{Horizon: 15, Warmup: 1, Seed: 3, ServiceDist: ServiceLogNormal, KeepSamples: true}},
 	} {
 		res := defaultWorkloadRun(t, tc.cfg)
 		t.Logf("%s: %#x (samples=%d delivered=%d dropped=%d)",

@@ -335,7 +335,7 @@ func TestFaultStateDoesNotLeakAcrossReset(t *testing.T) {
 		FaultPlan:       &FaultPlan{MTBF: 3, MTTR: 1},
 		Seed:            9,
 	}
-	clean := Config{Problem: prob, Schedule: sched, Placement: pl, Horizon: 15, Seed: 9}
+	clean := Config{Problem: prob, Schedule: sched, Placement: pl, Horizon: 15, Seed: 9, KeepSamples: true}
 
 	var sim Simulator
 	if err := sim.Reset(faulted); err != nil {
@@ -370,12 +370,13 @@ func TestFaultStateDoesNotLeakAcrossReset(t *testing.T) {
 func TestRandomFaultsDeterministic(t *testing.T) {
 	prob, sched, pl := faultProblem(40, 60)
 	cfg := Config{
-		Problem:   prob,
-		Schedule:  sched,
-		Placement: pl,
-		Horizon:   20,
-		FaultPlan: &FaultPlan{MTBF: 3, MTTR: 1},
-		Seed:      4,
+		Problem:     prob,
+		Schedule:    sched,
+		Placement:   pl,
+		Horizon:     20,
+		FaultPlan:   &FaultPlan{MTBF: 3, MTTR: 1},
+		Seed:        4,
+		KeepSamples: true,
 	}
 	a, err := Run(cfg)
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 // zero-length outages, correlated preemption with arbitrary group sizes and
 // lead times), the control plane (tick interval, shedding, live migration)
 // and the arrival tier (custom per-request sources of every process shape
-// plus the ExpectedArrivals sizing hint). Runs are only attempted for
+// with and without KeepSamples). Runs are only attempted for
 // configurations Reset accepted AND whose timing knobs cannot livelock the
 // event loop (a pathologically tiny retransmit delay, MTTR, preemption
 // interval or control interval is valid but makes the agenda grind through
@@ -25,47 +25,47 @@ import (
 func FuzzConfigValidate(f *testing.F) {
 	f.Add(10.0, 1.0, 0.001, 0.005, 20.0, 4.0, 0, 0, 0, false,
 		5.0, 1.0, 0.5, 1.0, 2.0, 3.0, 1, false, false, false,
-		0, 40.0, 0.5, 0, false)
+		0, 40.0, 0.5, false, false)
 	f.Add(-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0, false,
 		0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, false, false, false,
-		1, 0.0, 0.0, -1, true)
+		1, 0.0, 0.0, true, true)
 	f.Add(math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN(), 1, 1, 4, true,
 		math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN(), -1, true, true, true,
-		2, math.NaN(), math.Inf(1), -7, true)
+		2, math.NaN(), math.Inf(1), false, true)
 	f.Add(math.Inf(1), 0.0, 0.0, 0.0, math.Inf(1), 1.0, 0, 1, 0, true,
 		math.Inf(1), math.Inf(-1), 0.0, math.Inf(1), 0.0, math.Inf(1), 99, true, false, true,
-		-3, math.Inf(-1), 1e30, 1<<30, true)
+		-3, math.Inf(-1), 1e30, true, true)
 	f.Add(5.0, -2.0, -0.5, 1e-12, -3.0, math.Inf(-1), 2, -1, -7, true,
 		1e-12, 1e-12, -1.0, 1e-12, -2.0, 0.0, 0, true, true, false,
-		1, 80.0, 0.9, 5000, true)
+		1, 80.0, 0.9, false, true)
 	f.Add(50.0, 5.0, 0.002, 0.01, math.Inf(1), 2.0, 1, 0, 2, true,
 		4.0, 0.5, 0.25, 0.5, 1.0, 0.0, 2, true, true, true,
-		2, 3.0, 6.0, 100000, true)
+		2, 3.0, 6.0, true, true)
 	// Overlapping outages on the same node plus full-cluster preemption under
 	// an actively migrating control plane.
 	f.Add(20.0, 1.0, 0.001, 0.01, 0.0, 0.0, 0, 0, 0, true,
 		3.0, 0.8, 0.3, 0.7, 2.0, 4.0, 8, true, true, true,
-		0, 25.0, 0.1, 1000, true)
+		0, 25.0, 0.1, true, true)
 
 	f.Fuzz(func(t *testing.T, horizon, warmup, linkDelay, retransmitDelay,
 		mtbf, mttr float64, dropPolicy, failPolicy, bufferSize int, withFaults bool,
 		preemptInterval, recovery, leadTime, controlInterval, outDown, outLen float64,
 		groupSize int, withPreempt, withControl, withOutages bool,
-		sourceKind int, srcA, srcB float64, expectedArrivals int, withSources bool) {
+		sourceKind int, srcA, srcB float64, keepSamples bool, withSources bool) {
 		prob, sched, pl := faultProblem(40, 100)
 		cfg := Config{
-			Problem:          prob,
-			Schedule:         sched,
-			Placement:        pl,
-			LinkDelay:        linkDelay,
-			Horizon:          horizon,
-			Warmup:           warmup,
-			BufferSize:       bufferSize,
-			DropPolicy:       DropPolicy(dropPolicy),
-			FailurePolicy:    FailurePolicy(failPolicy),
-			RetransmitDelay:  retransmitDelay,
-			ExpectedArrivals: expectedArrivals,
-			Seed:             1,
+			Problem:         prob,
+			Schedule:        sched,
+			Placement:       pl,
+			LinkDelay:       linkDelay,
+			Horizon:         horizon,
+			Warmup:          warmup,
+			BufferSize:      bufferSize,
+			DropPolicy:      DropPolicy(dropPolicy),
+			FailurePolicy:   FailurePolicy(failPolicy),
+			RetransmitDelay: retransmitDelay,
+			KeepSamples:     keepSamples,
+			Seed:            1,
 		}
 		if withSources {
 			// Clamp the process knobs into live ranges: the contract under fuzz
@@ -177,6 +177,16 @@ func FuzzConfigValidate(f *testing.F) {
 		if got := res.Delivered + res.InFlight + lost; got != res.Generated {
 			t.Fatalf("conservation violated: delivered %d + inflight %d + lost %d = %d, want %d",
 				res.Delivered, res.InFlight, lost, got, res.Generated)
+		}
+		if got := res.LatencySketch.Count(); got != res.Latency.N() {
+			t.Fatalf("latency sketch counts %d, latency summary %d", got, res.Latency.N())
+		}
+		wantSamples := 0
+		if keepSamples {
+			wantSamples = res.Latency.N()
+		}
+		if len(res.LatencySamples) != wantSamples {
+			t.Fatalf("%d latency samples, want %d (KeepSamples %v)", len(res.LatencySamples), wantSamples, keepSamples)
 		}
 	})
 }

@@ -25,12 +25,12 @@ func TestSimulatorReuseMatchesFreshRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	configs := []Config{
-		{Horizon: 5, Warmup: 1, Seed: 7},
-		{Horizon: 5, Warmup: 1, Seed: 8}, // same shape, new seed: arena reuse
-		{Horizon: 5, Warmup: 1, Seed: 7, BufferSize: 2},
-		{Horizon: 2, Seed: 7, BufferSize: 2, DropPolicy: DropRetransmit, RetransmitDelay: 0.004},
-		{Horizon: 4, Warmup: 1, Seed: 3, ServiceDist: ServiceLogNormal},
-		{Horizon: 5, Warmup: 1, Seed: 7}, // repeat of the first: full cycle back
+		{Horizon: 5, Warmup: 1, Seed: 7, KeepSamples: true},
+		{Horizon: 5, Warmup: 1, Seed: 8}, // same shape, new seed, sketch only: arena reuse
+		{Horizon: 5, Warmup: 1, Seed: 7, BufferSize: 2, KeepSamples: true},
+		{Horizon: 2, Seed: 7, BufferSize: 2, DropPolicy: DropRetransmit, RetransmitDelay: 0.004, KeepSamples: true},
+		{Horizon: 4, Warmup: 1, Seed: 3, ServiceDist: ServiceLogNormal, KeepSamples: true},
+		{Horizon: 5, Warmup: 1, Seed: 7, KeepSamples: true}, // repeat of the first: full cycle back
 	}
 	sim := NewSimulator()
 	for i, cfg := range configs {
@@ -50,6 +50,9 @@ func TestSimulatorReuseMatchesFreshRuns(t *testing.T) {
 		// simulator's buffers and is only valid until the next Reset.
 		if ff, fr := fingerprintResults(fresh), fingerprintResults(reused); ff != fr {
 			t.Errorf("config %d: reused simulator diverged from fresh run: %#x vs %#x", i, fr, ff)
+		}
+		if fresh.LatencySketch != reused.LatencySketch || len(fresh.LatencySamples) != len(reused.LatencySamples) {
+			t.Errorf("config %d: reused sketch or samples diverged from fresh run", i)
 		}
 	}
 }

@@ -22,6 +22,7 @@ type resultsJSON struct {
 	Generated      int           `json:"generated"`
 	Delivered      int           `json:"delivered"`
 	Latency        stats.Summary `json:"latency"`
+	LatencySketch  stats.Sketch  `json:"latencySketch"`
 	LatencySamples []float64     `json:"latencySamples,omitempty"`
 
 	Retransmissions   int                 `json:"retransmissions"`
@@ -124,6 +125,7 @@ func (r *Results) WriteJSON(w io.Writer) error {
 		Generated:              r.Generated,
 		Delivered:              r.Delivered,
 		Latency:                r.Latency,
+		LatencySketch:          r.LatencySketch,
 		LatencySamples:         r.LatencySamples,
 		Retransmissions:        r.Retransmissions,
 		Dropped:                r.Dropped,
@@ -160,8 +162,11 @@ func (r *Results) WriteJSON(w io.Writer) error {
 }
 
 // ReadResultsJSON parses results written by WriteJSON. Unknown fields are
-// rejected so wire-format drift fails loudly. The returned Results is
-// independently owned (maps are always non-nil, mirroring a fresh Run).
+// rejected so wire-format drift fails loudly, and so is a document whose
+// latency sketch or samples do not count latency.n observations (which
+// includes documents written before the sketch existed). The returned
+// Results is independently owned (maps are always non-nil, mirroring a
+// fresh Run).
 func ReadResultsJSON(r io.Reader) (*Results, error) {
 	var raw resultsJSON
 	dec := json.NewDecoder(r)
@@ -169,12 +174,19 @@ func ReadResultsJSON(r io.Reader) (*Results, error) {
 	if err := dec.Decode(&raw); err != nil {
 		return nil, fmt.Errorf("simulate: decode results: %w", err)
 	}
+	if n, got := raw.Latency.N(), raw.LatencySketch.Count(); got != n {
+		return nil, fmt.Errorf("simulate: decode results: latency sketch counts %d latencies, latency.n is %d", got, n)
+	}
+	if n, got := raw.Latency.N(), len(raw.LatencySamples); got != 0 && got != n {
+		return nil, fmt.Errorf("simulate: decode results: %d latency samples, latency.n is %d", got, n)
+	}
 	out := &Results{
 		Horizon:                raw.Horizon,
 		Warmup:                 raw.Warmup,
 		Generated:              raw.Generated,
 		Delivered:              raw.Delivered,
 		Latency:                raw.Latency,
+		LatencySketch:          raw.LatencySketch,
 		LatencySamples:         raw.LatencySamples,
 		Retransmissions:        raw.Retransmissions,
 		Dropped:                raw.Dropped,

@@ -97,14 +97,12 @@ type Config struct {
 	// Mutually exclusive with TraceStream.
 	Sources map[model.RequestID]ArrivalSource
 
-	// ExpectedArrivals hints the total number of external arrivals the run
-	// will admit, sizing the latency-sample reservation when the count is
-	// unknowable up front (TraceStream replay, custom Sources); pass
-	// Trace.Len() when replaying an in-memory trace. 0 falls back to the
-	// offered-rate estimate Σ Rate·(Horizon−Warmup) from the problem, which
-	// is exact in expectation for the flat-Poisson default and
-	// mean-preserving generator classes.
-	ExpectedArrivals int
+	// KeepSamples additionally records every post-warmup end-to-end latency
+	// in Results.LatencySamples, in delivery order. Off by default: the
+	// LatencySketch carries the quantiles within SketchAlpha in constant
+	// memory, while samples cost O(delivered) memory and result bytes. Set it
+	// for exact percentiles or to fingerprint every sample.
+	KeepSamples bool
 
 	// InjectOnly lists requests whose external arrivals are supplied by the
 	// caller through Simulator.Inject instead of being generated from Rate
@@ -226,8 +224,12 @@ type Results struct {
 	// (including retransmission passes and link hops).
 	Delivered int
 	Latency   stats.Summary
-	// LatencySamples holds every measured end-to-end latency (post-warmup),
-	// enabling percentile tail analysis.
+	// LatencySketch holds the same latencies in a fixed-size log-bucketed
+	// sketch: its quantiles are within stats.SketchAlpha of the exact
+	// nearest-rank sample, and it merges exactly across runs.
+	LatencySketch stats.Sketch
+	// LatencySamples holds every measured end-to-end latency (post-warmup)
+	// in delivery order, only when Config.KeepSamples is set.
 	LatencySamples []float64
 
 	// Retransmissions counts failed delivery checks (each triggers a new
@@ -662,9 +664,6 @@ func (sim *Simulator) Reset(cfg Config) error {
 	if len(cfg.Sources) > 0 && cfg.TraceStream != nil {
 		return errors.New("simulate: Sources cannot be combined with trace replay (TraceStream)")
 	}
-	if cfg.ExpectedArrivals < 0 {
-		return fmt.Errorf("simulate: negative ExpectedArrivals %d", cfg.ExpectedArrivals)
-	}
 	switch cfg.FailurePolicy {
 	case FailDrop:
 	case FailRetransmit:
@@ -749,7 +748,6 @@ func (sim *Simulator) Reset(cfg Config) error {
 	if err := s.build(); err != nil {
 		return err
 	}
-	s.presizeSamples()
 	sim.ready = true
 	return nil
 }
@@ -1208,29 +1206,6 @@ func (s *simulation) build() error {
 	return nil
 }
 
-// presizeSamples reserves LatencySamples capacity for the expected number of
-// post-warmup deliveries, so the hot loop appends without reallocating. The
-// estimate is the ExpectedArrivals hint, else the aggregate Poisson rate
-// over the measurement window, capped to bound the up-front reservation on
-// huge horizons.
-func (s *simulation) presizeSamples() {
-	const presizeCap = 1 << 21 // 2 Mi samples = 16 MiB, then append growth takes over
-	expected := s.cfg.ExpectedArrivals
-	if expected == 0 {
-		var totalRate float64
-		for _, r := range s.requests {
-			totalRate += r.Rate
-		}
-		expected = int(totalRate * (s.cfg.Horizon - s.cfg.Warmup))
-	}
-	if expected > presizeCap {
-		expected = presizeCap
-	}
-	if expected > cap(s.results.LatencySamples) {
-		s.results.LatencySamples = make([]float64, 0, expected)
-	}
-}
-
 // streamSeqBase is where the regular sequence counter starts on a trace
 // replay. Admitted trace rows are stamped with their row index from the band
 // [1, streamSeqBase] and the in-run counter starts above it, so a trace
@@ -1508,7 +1483,10 @@ func (s *simulation) advance(pid int32) {
 		if p.birth >= s.cfg.Warmup {
 			lat := s.now - p.birth
 			s.results.Latency.Add(lat)
-			s.results.LatencySamples = append(s.results.LatencySamples, lat)
+			s.results.LatencySketch.Add(lat)
+			if s.cfg.KeepSamples {
+				s.results.LatencySamples = append(s.results.LatencySamples, lat)
+			}
 			s.perReq[ri].Add(lat)
 		}
 		s.freePacket(pid)

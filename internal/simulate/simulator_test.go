@@ -69,8 +69,8 @@ func TestMM1AgreementWithTheory(t *testing.T) {
 	if math.Abs(util-0.5) > 0.03 {
 		t.Errorf("utilization %v, want ≈0.5", util)
 	}
-	if res.Delivered == 0 || len(res.LatencySamples) != res.Latency.N() {
-		t.Error("sample bookkeeping inconsistent")
+	if res.Delivered == 0 || res.LatencySketch.Count() != res.Latency.N() || len(res.LatencySamples) != 0 {
+		t.Error("latency bookkeeping inconsistent")
 	}
 	if res.Retransmissions != 0 {
 		t.Errorf("P=1 but %d retransmissions", res.Retransmissions)
@@ -412,7 +412,7 @@ func TestPacketConservationWithDrops(t *testing.T) {
 
 func TestPercentileTailFromSamples(t *testing.T) {
 	prob, sched := singleQueueProblem(60, 100, 1)
-	res, err := Run(Config{Problem: prob, Schedule: sched, Horizon: 1000, Warmup: 50, Seed: 13})
+	res, err := Run(Config{Problem: prob, Schedule: sched, Horizon: 1000, Warmup: 50, Seed: 13, KeepSamples: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,6 +424,9 @@ func TestPercentileTailFromSamples(t *testing.T) {
 	}
 	if p99 <= res.Latency.Mean() {
 		t.Error("p99 below mean")
+	}
+	if sk, ok := res.LatencySketch.Quantile(0.99); !ok || math.Abs(sk-want)/want > 0.15 {
+		t.Errorf("sketch p99 %v (ok %v) vs theory %v", sk, ok, want)
 	}
 }
 

@@ -35,7 +35,7 @@ func steppingFixture(t *testing.T) (*model.Problem, *model.Schedule) {
 // ClusterSimulator composition rests on.
 func TestSteppingDifferential(t *testing.T) {
 	p, sched := steppingFixture(t)
-	cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7}
+	cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7, KeepSamples: true}
 	want, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestSteppingDifferential(t *testing.T) {
 // must process exactly the events an event-at-a-time loop would.
 func TestDrainUntilDifferential(t *testing.T) {
 	p, sched := steppingFixture(t)
-	cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7}
+	cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7, KeepSamples: true}
 	want, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestDrainUntilBounds(t *testing.T) {
 // RunContext — both halves must compose into the exact Run result.
 func TestSteppingMixedWithRun(t *testing.T) {
 	p, sched := steppingFixture(t)
-	cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7}
+	cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7, KeepSamples: true}
 	want, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestInjectMatchesTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := p.Requests[0].ID
-	cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7, TraceStream: trace.Cursor()}
+	cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7, TraceStream: trace.Cursor(), KeepSamples: true}
 	want, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

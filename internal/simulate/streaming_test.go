@@ -63,9 +63,9 @@ func TestTraceReplayGolden(t *testing.T) {
 			tied.Arrivals = append(tied.Arrivals, workload.Arrival{Time: float64(k) / 64, Request: "r"})
 		}
 	}
-	base := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7}
+	base := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7, KeepSamples: true}
 	queue := Config{Problem: qp, Schedule: qsched, Horizon: 20, Warmup: 2, Seed: 7,
-		BufferSize: 1, ServiceDist: ServiceDeterministic}
+		BufferSize: 1, ServiceDist: ServiceDeterministic, KeepSamples: true}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -104,7 +104,7 @@ func TestStreamReplayFromCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7, TraceStream: ts})
+	res, err := Run(Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7, TraceStream: ts, KeepSamples: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestExplicitSourcesMatchGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7}
+	cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7, KeepSamples: true}
 	srcs := make(map[model.RequestID]ArrivalSource, len(p.Requests))
 	for _, r := range p.Requests {
 		srcs[r.ID] = workload.NewPoisson(r.Rate, rng.Derive(cfg.Seed, "arrivals/"+string(r.ID)))
@@ -178,7 +178,7 @@ func TestStreamPendingEventsConstant(t *testing.T) {
 	cur := &syntheticCursor{n: n, dt: 30.0 / n, id: prob.Requests[0].ID}
 	sim := NewSimulator()
 	cfg := Config{Problem: prob, Schedule: sched, Horizon: 60, Warmup: 0, Seed: 5,
-		TraceStream: cur, ExpectedArrivals: n}
+		TraceStream: cur}
 	if err := sim.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +191,10 @@ func TestStreamPendingEventsConstant(t *testing.T) {
 	}
 	if res.Generated != n {
 		t.Fatalf("generated %d of %d streamed arrivals", res.Generated, n)
+	}
+	if len(res.LatencySamples) != 0 || res.LatencySketch.Count() != res.Latency.N() {
+		t.Fatalf("default run kept %d samples; sketch counts %d of %d latencies",
+			len(res.LatencySamples), res.LatencySketch.Count(), res.Latency.N())
 	}
 
 	const rows = 20000
@@ -251,7 +255,7 @@ func TestStreamOutOfOrderFails(t *testing.T) {
 	}
 }
 
-// TestStreamConfigValidation covers the mutual-exclusion and hint rules.
+// TestStreamConfigValidation covers the Sources/TraceStream exclusion.
 func TestStreamConfigValidation(t *testing.T) {
 	prob, sched := singleQueueProblem(50, 150, 1)
 	tr, err := workload.GenerateTrace(prob, 5, workload.InterArrivalExponential, 1)
@@ -262,29 +266,11 @@ func TestStreamConfigValidation(t *testing.T) {
 		prob.Requests[0].ID: workload.NewPoisson(50, rng.Derive(1, "x")),
 	}
 	cases := map[string]Config{
-		"sources+stream":    {Problem: prob, Schedule: sched, Horizon: 5, TraceStream: tr.Cursor(), Sources: srcs},
-		"negative-expected": {Problem: prob, Schedule: sched, Horizon: 5, ExpectedArrivals: -1},
+		"sources+stream": {Problem: prob, Schedule: sched, Horizon: 5, TraceStream: tr.Cursor(), Sources: srcs},
 	}
 	for name, cfg := range cases {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: invalid config accepted", name)
-		}
-	}
-}
-
-// TestExpectedArrivalsHint pins the sample-presizing hint: with the hint
-// set, Reset reserves LatencySamples for the hinted arrival count, and
-// without it for the offered-rate estimate Σ Rate·(Horizon−Warmup).
-func TestExpectedArrivalsHint(t *testing.T) {
-	prob, sched := singleQueueProblem(50, 150, 1)
-	for _, tc := range []struct{ hint, want int }{{0, 50 * 90}, {20000, 20000}} {
-		sim := NewSimulator()
-		cfg := Config{Problem: prob, Schedule: sched, Horizon: 100, Warmup: 10, ExpectedArrivals: tc.hint}
-		if err := sim.Reset(cfg); err != nil {
-			t.Fatal(err)
-		}
-		if got := cap(sim.s.results.LatencySamples); got != tc.want {
-			t.Errorf("hint %d: reserved %d samples, want %d", tc.hint, got, tc.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package stats provides the statistical plumbing the evaluation needs:
 // online (Welford) summaries, exact sample percentiles for tail analysis
-// (the paper quotes 99th-percentile response times over 1000 runs), and
+// (the paper quotes 99th-percentile response times over 1000 runs), a
+// fixed-size mergeable quantile sketch for tails in constant memory, and
 // normal-approximation confidence intervals.
 package stats
 
